@@ -27,12 +27,19 @@ vet:
 ## the reason ci cannot run from a clean checkout). Also bans fmt.Print* in
 ## internal/server non-test files: the serving layer reports through the obs
 ## registry and the tracer, never by scribbling on the process's stdout.
+## And fails on dead packages: every package under internal/ needs a non-test
+## importer in this module or in bench/ (a package only its own tests use is
+## code nobody runs).
 lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "lint: staticcheck not installed; skipping (go vet still ran)"; \
 	fi
+	@{ $(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./...; \
+		cd bench && $(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./...; } | \
+	awk '{ for (i = 2; i <= NF; i++) used[$$i] = 1; if ($$1 ~ /^telamalloc\/internal\//) pkgs[$$1] = 1 } \
+		END { for (p in pkgs) if (!(p in used)) { print "lint: " p " has no non-test importer in the module or bench/"; bad = 1 } exit bad }'
 	@bad=$$(grep -n 'fmt\.Print' internal/server/*.go | grep -v '_test\.go' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "lint: fmt.Print* is banned in internal/server (use obs metrics/tracer):"; \
@@ -64,21 +71,20 @@ lint: vet
 ## soak: the serving-layer robustness suite under the race detector —
 ## concurrent clients against internal/server with faults armed: exactly one
 ## terminal outcome per request, shedding before unbounded queue growth,
-## breaker trip/probe/recovery, hedged-vs-unhedged determinism, bounded
-## drain. See DESIGN.md §9.
+## breaker trip/probe/recovery, bounded drain. See DESIGN.md §9.
 soak:
-	$(GO) test -race -count=1 -run 'Soak|Drain|Breaker|Shed|Hedge|Submit|Admit|Queue|ServeStream|Handle' ./internal/server ./cmd/telamallocd
+	$(GO) test -race -count=1 -run 'Soak|Drain|Breaker|Shed|Submit|Admit|Queue|ServeStream|Handle' ./internal/server ./cmd/telamallocd
 
 ## cachesoak: the reuse-layer acceptance soak under the race detector —
-## concurrent clients replaying a fixed workload against a hedged server
-## with a small cache: every cached/deduped/hint-replayed response must be
+## concurrent clients replaying a fixed workload against a four-worker
+## server with a small cache: every cached/deduped/hint-replayed response must be
 ## byte-identical to the cold solve, and the cache/dedup counters must
 ## balance with the terminal-outcome ledger. See DESIGN.md §10.
 cachesoak:
 	$(GO) test -race -count=1 -run TestCacheSoak ./internal/server
 
 ## obssoak: the observability acceptance soak under the race detector — a
-## hedged server under mixed load with a live scraper goroutine: the
+## four-worker server under mixed load with a live scraper goroutine: the
 ## /metrics scrape must agree exactly with the Counters ledger after drain,
 ## histogram counts must equal admissions, and the tracer's span open/close
 ## accounting must balance with zero drops. See DESIGN.md §11.
@@ -98,7 +104,7 @@ chaossoak:
 ## stalls, budget starvation) under the race detector — the containment
 ## boundaries must hold when workers crash concurrently.
 faultrace:
-	$(GO) test -race -run 'Fault|Injected|Panic|Starv|Cancel' ./internal/core ./internal/faultinject ./internal/portfolio .
+	$(GO) test -race -run 'Fault|Injected|Panic|Starv|Cancel' ./internal/core ./internal/faultinject ./internal/spill .
 
 ## overloadsoak: the overload-control acceptance soak under the race
 ## detector — a sustained mixed-class, mixed-tenant flood against a slowed
@@ -126,7 +132,7 @@ fuzz:
 
 ## diffsoak: the differential verification soak under the race detector —
 ## a client fleet and a bare Allocator solve the same seeded adversarial
-## stream, and every served response (cache-hit, deduped, hedged, or with
+## stream, and every served response (cold, cache-hit, deduped, or with
 ## the brownout controller armed but idle) must be byte-identical to the
 ## direct run and accepted by the independent checker; plus the oracle
 ## sweep: the heuristic ladder must never claim a packing on an instance

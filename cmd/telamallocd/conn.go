@@ -54,11 +54,16 @@ func scanLinesStrict(data []byte, atEOF bool) (int, []byte, error) {
 }
 
 // newWireScanner builds the request-line scanner used by both stdin and TCP
-// modes. maxLine caps one request line; beyond it the scanner fails with
-// bufio.ErrTooLong, reported typed as line_too_long.
+// modes. maxLine caps one request line (≤ 0 means 64 MiB); beyond it the
+// scanner fails with bufio.ErrTooLong, reported typed as line_too_long.
 func newWireScanner(r io.Reader, maxLine int) *bufio.Scanner {
+	if maxLine <= 0 {
+		maxLine = 1 << 26
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+	// The initial buffer must not exceed the cap: the scanner only enforces
+	// maxLine when it has to grow past its current buffer.
+	sc.Buffer(make([]byte, 0, min(64<<10, maxLine)), maxLine)
 	sc.Split(scanLinesStrict)
 	return sc
 }
@@ -169,9 +174,6 @@ type tcpDaemon struct {
 func newTCPDaemon(srv *server.Server, ln net.Listener, h *health, idle time.Duration, maxConns, maxLine int, drainTimeout time.Duration) *tcpDaemon {
 	if maxConns <= 0 {
 		maxConns = 256
-	}
-	if maxLine <= 0 {
-		maxLine = 1 << 26
 	}
 	return &tcpDaemon{
 		srv:          srv,

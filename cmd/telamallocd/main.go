@@ -12,7 +12,7 @@
 // Usage:
 //
 //	echo '{"v":1,"id":"r1","memory":8,"buffers":[{"start":0,"end":4,"size":4},{"start":0,"end":4,"size":4}]}' | telamallocd
-//	telamallocd -hedge -workers 8 -req-timeout 2s < requests.jsonl
+//	telamallocd -workers 8 -req-timeout 2s < requests.jsonl
 //	telamallocd -listen :7333 -metrics-addr :9100 -trace-file trace.jsonl &
 //
 // Request schema (wire protocol version 1, DESIGN.md §12):
@@ -114,7 +114,6 @@ func main() {
 		reqTimeout   = flag.Duration("req-timeout", 0, "per-request wall-clock pot, measured from admission (0 = none)")
 		maxSteps     = flag.Int64("max-steps", 0, "per-request search step pot (0 = unlimited)")
 		parallel     = flag.Int("parallel", 0, "solver parallelism per request (0 = GOMAXPROCS)")
-		hedge        = flag.Bool("hedge", false, "race a greedy/best-fit hedge against the full ladder")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive internal failures that open a stage's breaker (-1 disables)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker window before a half-open probe")
 		slowStage    = flag.Duration("slow-stage", 0, "also trip a breaker when a stage times out after this long (0 = off)")
@@ -180,7 +179,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		MaxSteps:       *maxSteps,
 		Parallelism:    *parallel,
-		Hedge:          *hedge,
 		DrainTimeout:   *drainTO,
 		CacheSize:      cacheCfg,
 		DisableDedup:   *noDedup,
@@ -206,7 +204,7 @@ func main() {
 	var drainErr error
 	if *listen == "" {
 		hlt.setReady(true)
-		serveStream(srv, os.Stdin, os.Stdout)
+		serveStream(srv, os.Stdin, os.Stdout, *maxLine)
 		hlt.setReady(false)
 		drainErr = srv.Close()
 	} else {
@@ -228,10 +226,10 @@ func main() {
 	if !*quiet {
 		c := srv.Snapshot()
 		fmt.Fprintf(os.Stderr,
-			"telamallocd: submitted %d admitted %d shed %d rejected %d | solved %d degraded %d failed %d cancelled %d | hedge-wins %d breaker trips/probes/recoveries %d/%d/%d | cache hits/misses/near %d/%d/%d len %d | dedup-shared %d hint-replays %d | expired dequeue/evict %d/%d tenant-shed %d | brownout degrades/recovers %d/%d marked %d\n",
+			"telamallocd: submitted %d admitted %d shed %d rejected %d | solved %d degraded %d failed %d cancelled %d | breaker trips/probes/recoveries %d/%d/%d | cache hits/misses/near %d/%d/%d len %d | dedup-shared %d hint-replays %d | expired dequeue/evict %d/%d tenant-shed %d | brownout degrades/recovers %d/%d marked %d\n",
 			c.Submitted, c.Admitted, c.Shed, c.RejectedDraining,
 			c.Solved, c.Degraded, c.Failed, c.Cancelled,
-			c.HedgeWins, c.BreakerTrips, c.BreakerProbes, c.BreakerRecoveries,
+			c.BreakerTrips, c.BreakerProbes, c.BreakerRecoveries,
 			c.CacheHits, c.CacheMisses, c.CacheNearHits, c.CacheLen,
 			c.DedupShared, c.HintReplays,
 			c.ExpiredInQueue, c.ExpiredEvicted, c.TenantShed,
@@ -309,8 +307,9 @@ func serveTCP(srv *server.Server, addr string, hlt *health, idle time.Duration, 
 
 // serveStream answers line-delimited JSON requests from r on w until EOF —
 // the stdin/stdout mode. TCP connections run the same loop via serveConn.
-func serveStream(srv *server.Server, r io.Reader, w io.Writer) {
-	serveScanner(srv, newWireScanner(r, 1<<26), w)
+// maxLine caps one request line, as -max-line does for TCP connections.
+func serveStream(srv *server.Server, r io.Reader, w io.Writer, maxLine int) {
+	serveScanner(srv, newWireScanner(r, maxLine), w)
 }
 
 // serveScanner answers each request line from sc on w. Requests run
@@ -434,7 +433,6 @@ func handle(srv *server.Server, wreq wireRequest) wireResponse {
 		out.LowerBound = resp.LowerBound
 		out.Memory = resp.Memory
 		out.SkippedByBreaker = resp.SkippedByBreaker
-		out.HedgeWon = resp.HedgeWon
 		out.CacheHit = resp.CacheHit
 		out.Deduped = resp.Deduped
 		out.HintReplayed = resp.HintReplayed

@@ -46,7 +46,7 @@ func TestServeStreamOutcomes(t *testing.T) {
 	}, "\n") + "\n"
 
 	var out bytes.Buffer
-	serveStream(srv, strings.NewReader(in), &out)
+	serveStream(srv, strings.NewReader(in), &out, 0)
 	byID := decodeReports(t, &out)
 	if len(byID) != 4 {
 		t.Fatalf("got %d reports (%v), want 4", len(byID), byID)
@@ -98,7 +98,7 @@ func TestServeStreamRequestBudget(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		serveStream(srv, strings.NewReader(strings.Join(lines, "\n")+"\n"), &out)
+		serveStream(srv, strings.NewReader(strings.Join(lines, "\n")+"\n"), &out, 0)
 	}()
 	select {
 	case <-done:
@@ -186,7 +186,7 @@ func TestServeStreamVersioning(t *testing.T) {
 	}, "\n") + "\n"
 
 	var out bytes.Buffer
-	serveStream(srv, strings.NewReader(in), &out)
+	serveStream(srv, strings.NewReader(in), &out, 0)
 	byID := decodeReports(t, &out)
 	if len(byID) != 4 {
 		t.Fatalf("got %d reports (%v), want 4", len(byID), byID)
@@ -253,6 +253,31 @@ func TestParseClassDepth(t *testing.T) {
 	}
 }
 
+// In stream mode the -max-line cap applies too: a line over it gets exactly
+// one typed rejected/line_too_long report, and shorter lines before it are
+// served normally.
+func TestServeStreamMaxLine(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1})
+	defer srv.Close()
+
+	ok := `{"id":"ok","memory":8,"buffers":[{"start":0,"end":4,"size":4}]}`
+	in := ok + "\n" + strings.Repeat("a", 4096) + "\n"
+	var out bytes.Buffer
+	serveStream(srv, strings.NewReader(in), &out, 256)
+
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("got %d reports %q, want 2", len(lines), lines)
+	}
+	byID := decodeReports(t, &out)
+	if got := byID["ok"]; got.Outcome != "solved" {
+		t.Errorf("short line: %+v, want solved", got)
+	}
+	if got := byID[""]; got.Outcome != "rejected" || got.ErrorCode != "line_too_long" {
+		t.Errorf("oversized line: %+v, want rejected/line_too_long", got)
+	}
+}
+
 // Priority and tenant flow from the wire into the server, and an unknown
 // priority is a typed bad_request — never silently downgraded.
 func TestServeStreamPriorityAndTenant(t *testing.T) {
@@ -265,7 +290,7 @@ func TestServeStreamPriorityAndTenant(t *testing.T) {
 		`{"id":"typo","priority":"Interactive","memory":8,"buffers":[{"start":0,"end":4,"size":4}]}`,
 	}, "\n") + "\n"
 	var out bytes.Buffer
-	serveStream(srv, strings.NewReader(in), &out)
+	serveStream(srv, strings.NewReader(in), &out, 0)
 	byID := decodeReports(t, &out)
 
 	for _, id := range []string{"pi", "pb"} {

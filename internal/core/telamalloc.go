@@ -206,8 +206,7 @@ func (a Allocator) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
 
 // AllocateContext is Allocate with cooperative cancellation: the solve
 // aborts within the polling stride once ctx is done. It satisfies
-// portfolio.ContextAllocator, so a racing portfolio can stop a losing
-// TelaMalloc member as soon as a sibling wins.
+// spill.ContextAllocator, so a cancelled spill plan stops mid-solve.
 func (a Allocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error) {
 	cfg := a.Config
 	if ctx != nil {

@@ -25,7 +25,7 @@ import (
 // A nil *Tracer is a valid no-op tracer: every method is nil-safe, so call
 // sites carry no enabled/disabled branches. Span open/close counts are
 // tracked so harnesses can assert that every started span was ended even
-// under hedged racing and caller cancellation (Balance).
+// under concurrent load and caller cancellation (Balance).
 type Tracer struct {
 	mu sync.Mutex
 	w  io.Writer

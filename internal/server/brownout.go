@@ -56,16 +56,14 @@ func (c BrownoutConfig) enabled() bool { return c.Target > 0 }
 
 // The brownout ladder. Each level keeps the degradations of the levels
 // below it. Level 1 shrinks the per-request step pot (halved per level);
-// level 2 also disables hedging (pure capacity: hedges burn a worker-
-// adjacent goroutine per request and never change answers); level 3 also
-// drops the search stage for batch/background requests — the expensive
-// stage goes first for the traffic that can best tolerate a degraded
-// packing, while interactive requests keep the full ladder at every level.
+// level 2 also drops the search stage for batch/background requests — the
+// expensive stage goes first for the traffic that can best tolerate a
+// degraded packing, while interactive requests keep the full ladder at
+// every level.
 const (
 	brownoutOff        = 0
 	brownoutShrinkPots = 1
-	brownoutNoHedge    = 2
-	brownoutNoSearch   = 3
+	brownoutNoSearch   = 2
 	brownoutMaxLevel   = brownoutNoSearch
 )
 

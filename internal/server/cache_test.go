@@ -367,14 +367,14 @@ func soakShapes(t *testing.T) []Problem {
 }
 
 // TestCacheSoak is the reuse layer's -race acceptance soak: concurrent
-// clients replaying a fixed workload against a hedged server. Every solved
-// response — cold, hedged, cached, deduped, hint-replayed — must be
+// clients replaying a fixed workload against a four-worker server. Every
+// solved response — cold, cached, deduped, hint-replayed — must be
 // byte-identical to the cold reference, and the cache/dedup counters must
 // balance with the terminal-outcome ledger after drain.
 func TestCacheSoak(t *testing.T) {
 	problems := soakShapes(t)
 
-	// Cold references from a reuse-free, hedge-free server.
+	// Cold references from a reuse-free server.
 	reference := make([]*Response, len(problems))
 	cold := New(Config{Workers: 1, MaxSteps: 200000, CacheSize: -1, DisableDedup: true})
 	for i, p := range problems {
@@ -390,7 +390,6 @@ func TestCacheSoak(t *testing.T) {
 		Workers:    4,
 		QueueDepth: 64,
 		MaxSteps:   200000,
-		Hedge:      true,
 		CacheSize:  4, // smaller than the distinct-problem count: evictions happen too
 	})
 	const clients = 8

@@ -25,7 +25,6 @@ const (
 	metricSubmitted     = "telamalloc_server_submitted_total"
 	metricAdmitted      = "telamalloc_server_admitted_total"
 	metricOutcomes      = "telamalloc_server_outcomes_total"
-	metricHedgeWins     = "telamalloc_server_hedge_wins_total"
 	metricBreakerEvents = "telamalloc_server_breaker_events_total"
 	metricPanics        = "telamalloc_server_contained_panics_total"
 	metricForceCancel   = "telamalloc_server_force_cancelled_total"
@@ -99,7 +98,6 @@ func (s *Server) bindMetrics() {
 		r.CounterFunc(metricOutcomes, "terminal request outcomes", o.fn,
 			obs.Label{Key: "outcome", Value: o.label})
 	}
-	r.CounterFunc(metricHedgeWins, "responses delivered by the hedge before the ladder", c.hedgeWins.Load)
 	for _, e := range []struct {
 		label string
 		fn    func() int64

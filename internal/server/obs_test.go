@@ -140,15 +140,15 @@ func bucketsMonotone(text, bucketSeries string) error {
 	return nil
 }
 
-// TestTraceSpanBalance floods a hedged server with a mix of solvable,
-// degraded, and caller-cancelled requests and asserts the tracer's
-// open/close accounting balances — the invariant that proves no lifecycle
-// path leaks a root span even when the hedge and the ladder race or the
-// caller gives up first. Run under -race by `make race`.
+// TestTraceSpanBalance floods a server with a mix of solvable, degraded,
+// and caller-cancelled requests and asserts the tracer's open/close
+// accounting balances — the invariant that proves no lifecycle path leaks a
+// root span even when the caller gives up first. Run under -race by
+// `make race`.
 func TestTraceSpanBalance(t *testing.T) {
 	var sink syncBuffer
 	tr := obs.NewTracer(&sink)
-	s := New(Config{Workers: 4, Hedge: true, Obs: obs.NewRegistry(), Tracer: tr})
+	s := New(Config{Workers: 4, Obs: obs.NewRegistry(), Tracer: tr})
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -216,7 +216,7 @@ func TestTraceSpanBalance(t *testing.T) {
 	}
 }
 
-// TestObsSoak is the `make obssoak` entry point: a hedged server under
+// TestObsSoak is the `make obssoak` entry point: a four-worker server under
 // sustained mixed load, scraped mid-flight, with the ledger ↔ histogram
 // agreement checked after drain. Mid-flight scrapes only assert invariants
 // that hold at any instant (bucket monotonicity, parseability).
@@ -227,7 +227,7 @@ func TestObsSoak(t *testing.T) {
 	r := obs.NewRegistry()
 	var sink syncBuffer
 	tr := obs.NewTracer(&sink)
-	s := New(Config{Workers: 4, QueueDepth: 16, Hedge: true, Obs: r, Tracer: tr,
+	s := New(Config{Workers: 4, QueueDepth: 16, Obs: r, Tracer: tr,
 		RequestTimeout: 2 * time.Second})
 
 	stop := make(chan struct{})
@@ -298,7 +298,6 @@ func TestObsSoak(t *testing.T) {
 		`telamalloc_server_outcomes_total{outcome="solved"}`:    c.Solved,
 		`telamalloc_server_outcomes_total{outcome="degraded"}`:  c.Degraded,
 		`telamalloc_server_outcomes_total{outcome="cancelled"}`: c.Cancelled,
-		"telamalloc_server_hedge_wins_total":                    c.HedgeWins,
 		"telamalloc_server_queue_wait_seconds_count":            c.Admitted,
 		"telamalloc_server_service_seconds_count":               c.Admitted,
 	} {

@@ -555,9 +555,9 @@ func TestBrownoutHysteresis(t *testing.T) {
 		return changed
 	}
 
-	hot := 50 * time.Millisecond  // above target
-	warm := 7 * time.Millisecond  // deadband: between low-water (5ms) and target
-	cool := 1 * time.Millisecond  // below low-water
+	hot := 50 * time.Millisecond // above target
+	warm := 7 * time.Millisecond // deadband: between low-water (5ms) and target
+	cool := 1 * time.Millisecond // below low-water
 
 	// Two hot windows are not enough; the third degrades.
 	if tick(hot) || tick(hot) {
@@ -577,8 +577,8 @@ func TestBrownoutHysteresis(t *testing.T) {
 	if tick(hot) || tick(hot) {
 		t.Fatal("hot streak must restart after a deadband window")
 	}
-	if !tick(hot) || b.currentLevel() != 2 {
-		t.Fatalf("want level 2, at %d", b.currentLevel())
+	if !tick(hot) || b.currentLevel() != brownoutNoSearch {
+		t.Fatalf("want level %d, at %d", brownoutNoSearch, b.currentLevel())
 	}
 
 	// Recovery: one cool window is not enough; the second steps down. An
@@ -610,8 +610,8 @@ func TestBrownoutHysteresis(t *testing.T) {
 }
 
 // TestBrownoutLadderApplication pins what each level does to a request:
-// level 3 drops search for batch (degraded answer, marked) but never for
-// interactive; level 1 shrinks the step pot (marked even when still
+// level 2 drops search for batch (degraded answer, marked) but never for
+// interactive; levels 1+ shrink the step pot (marked even when still
 // solved); level 0 marks nothing.
 func TestBrownoutLadderApplication(t *testing.T) {
 	s := New(Config{
@@ -635,32 +635,32 @@ func TestBrownoutLadderApplication(t *testing.T) {
 	}
 	baseline := string(resp.CanonicalJSON())
 
-	// Level 3, batch: search is dropped from the ladder — some other stage
+	// Level 2, batch: search is dropped from the ladder — some other stage
 	// must settle the request, and the verdict is marked.
 	s.brown.level.Store(brownoutNoSearch)
 	resp, err = s.Submit(context.Background(), Request{Problem: tight, Priority: PriorityBatch})
 	if err != nil {
-		t.Fatalf("level 3 batch tight: %v", err)
+		t.Fatalf("level 2 batch tight: %v", err)
 	}
 	if resp.Winner == "search" {
-		t.Fatal("level-3 batch request still ran the search stage")
+		t.Fatal("level-2 batch request still ran the search stage")
 	}
 	if !resp.DegradedByBrownout {
-		t.Fatal("level-3 batch verdict must carry the brownout marker")
+		t.Fatal("level-2 batch verdict must carry the brownout marker")
 	}
 
-	// Level 3, interactive: keeps the full ladder — still solved by search.
+	// Level 2, interactive: keeps the full ladder — still solved by search.
 	// (The shrunk pot marks the response; the answer bytes must match the
 	// un-browned solve, since the search found the same packing.)
 	resp, err = s.Submit(context.Background(), Request{Problem: tight, Priority: PriorityInteractive})
 	if err != nil || resp.Outcome != OutcomeSolved {
-		t.Fatalf("level 3 interactive tight: want solved, got %+v %v", resp, err)
+		t.Fatalf("level 2 interactive tight: want solved, got %+v %v", resp, err)
 	}
 	if !resp.DegradedByBrownout {
 		t.Fatal("shrunk-pot solve must carry the marker")
 	}
 	if got := string(resp.CanonicalJSON()); got != baseline {
-		t.Fatalf("interactive answer changed under brownout:\n  level0: %s\n  level3: %s", baseline, got)
+		t.Fatalf("interactive answer changed under brownout:\n  level0: %s\n  level2: %s", baseline, got)
 	}
 
 	// Back to level 0: markers stop.

@@ -137,9 +137,7 @@ type Response struct {
 	// Outcome is the terminal verdict.
 	Outcome Outcome
 	// Winner is the pipeline stage that produced the packing ("" on
-	// failure). Hedge wins report the heuristic's stage name — the same
-	// name the full ladder would have reported, which is what keeps
-	// results byte-identical with hedging on and off.
+	// failure).
 	Winner string
 	// Offsets is the packing (spilled buffers carry -1). Nil on failure.
 	Offsets []int64
@@ -157,9 +155,6 @@ type Response struct {
 	// Err is the terminal error string for OutcomeFailed ("" otherwise).
 	Err string
 
-	// HedgeWon reports that the hedge delivered this response before the
-	// full ladder. Timing-dependent, hence excluded from CanonicalJSON.
-	HedgeWon bool
 	// QueueWait is time spent queued before a worker picked the request up.
 	QueueWait time.Duration
 	// Elapsed is service time (dequeue to verdict), excluding queue wait.
@@ -211,8 +206,9 @@ func ResponseFrom(res telamalloc.PipelineResult, perr error) *Response {
 
 // CanonicalJSON serialises the scheduling-invariant part of the response.
 // For a fixed request against a fresh server, these bytes are identical
-// with hedging on and off, at every parallelism level — the determinism
-// contract the soak suite asserts.
+// at every parallelism level and on every serving path (cold, cached,
+// deduped, hint-replayed) — the determinism contract the soak suite
+// asserts.
 func (r *Response) CanonicalJSON() []byte {
 	b, err := json.Marshal(canonicalResponse{
 		Outcome:          r.Outcome,

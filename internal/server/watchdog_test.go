@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,18 +25,28 @@ func wedgeProblem() Problem {
 // overdue: the kill must land as exactly one typed ErrWatchdog failure, and
 // the stage that was wedged must be charged to its breaker.
 func TestWatchdogKillIsTypedAndFeedsBreaker(t *testing.T) {
+	// The solve wedges, non-cooperatively, inside search...
 	inj := faultinject.New(
-		// Force-kill everything on the first scan...
-		faultinject.Fault{Point: faultinject.PointServerWatchdog, Kind: faultinject.Starve},
-		// ...while the solve is wedged, non-cooperatively, inside search.
 		faultinject.Fault{Point: "group0", Kind: faultinject.Stall, StallFor: 300 * time.Millisecond},
 	)
+	// ...and only then does every watchdog scan force-kill. Starving the
+	// scan from the start would race the ladder: a kill landing in greedy
+	// or best-fit charges that stage's breaker instead of search's.
+	var wedged atomic.Bool
 	srv := New(Config{
 		Workers:    1,
 		QueueDepth: 4,
 		Watchdog:   WatchdogConfig{BudgetMultiple: 2, Interval: 2 * time.Millisecond},
 		Breaker:    BreakerConfig{Threshold: 1, Cooldown: time.Hour},
-		Hook:       inj.Hook,
+		Hook: func(point string) bool {
+			switch point {
+			case "group0":
+				wedged.Store(true)
+			case faultinject.PointServerWatchdog:
+				return wedged.Load()
+			}
+			return inj.Hook(point)
+		},
 	})
 	defer srv.Close()
 

@@ -21,7 +21,6 @@ import (
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/core"
 	"telamalloc/internal/heuristics"
-	"telamalloc/internal/portfolio"
 )
 
 // ErrCannotFit is returned when even spilling every eligible buffer leaves
@@ -44,10 +43,20 @@ type Request struct {
 	// MaxSpills caps evictions (0 = no cap).
 	MaxSpills int
 	// Ctx, when non-nil, cancels planning: it is checked before every
-	// allocation attempt, and allocators implementing
-	// portfolio.ContextAllocator observe it mid-solve too.
+	// allocation attempt, and allocators implementing ContextAllocator
+	// observe it mid-solve too.
 	Ctx context.Context
 }
+
+// ContextAllocator is implemented by allocators that support cooperative
+// cancellation. Make forwards Request.Ctx to them so a cancelled plan stops
+// mid-solve instead of running the current attempt to its own budget.
+type ContextAllocator interface {
+	heuristics.Allocator
+	AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error)
+}
+
+var _ ContextAllocator = core.Allocator{}
 
 // ErrCancelled is returned when Request.Ctx is done before a plan is found.
 var ErrCancelled = errors.New("spill: planning cancelled")
@@ -137,7 +146,7 @@ func allocate(req Request, sub *buffers.Problem) (sol *buffers.Solution, err err
 			sol, err = nil, fmt.Errorf("%w: %v", ErrAllocatorPanic, r)
 		}
 	}()
-	if cm, ok := req.Allocator.(portfolio.ContextAllocator); ok && req.Ctx != nil {
+	if cm, ok := req.Allocator.(ContextAllocator); ok && req.Ctx != nil {
 		return cm.AllocateContext(req.Ctx, sub)
 	}
 	return req.Allocator.Allocate(sub)

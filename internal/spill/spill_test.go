@@ -1,9 +1,11 @@
 package spill
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/core"
@@ -203,5 +205,55 @@ func TestSpillIsDeterministic(t *testing.T) {
 				t.Fatalf("spill order differs: %v vs %v", a.Spilled, b.Spilled)
 			}
 		}
+	}
+}
+
+// blocker parks in AllocateContext until its context is cancelled — a
+// stand-in for a long search the spill planner must be able to abandon.
+type blocker struct {
+	started, observed chan struct{}
+}
+
+func (b *blocker) Name() string { return "blocker" }
+
+func (b *blocker) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
+	return nil, errors.New("blocker: no context, cannot run")
+}
+
+func (b *blocker) AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error) {
+	close(b.started)
+	select {
+	case <-ctx.Done():
+		close(b.observed)
+		return nil, ctx.Err()
+	case <-time.After(30 * time.Second):
+		return nil, errors.New("blocker: never cancelled")
+	}
+}
+
+// TestContextAllocatorObservesCancel: Make forwards Request.Ctx into a
+// ContextAllocator, so cancelling mid-solve stops the attempt and the plan
+// reports ErrCancelled.
+func TestContextAllocatorObservesCancel(t *testing.T) {
+	p := &buffers.Problem{Memory: 8, Buffers: []buffers.Buffer{
+		{Start: 0, End: 5, Size: 4},
+		{Start: 0, End: 5, Size: 4},
+	}}
+	p.Normalize()
+	b := &blocker{started: make(chan struct{}), observed: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-b.started
+		cancel()
+	}()
+	_, err := Make(Request{Problem: p, Allocator: b, Ctx: ctx})
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	select {
+	case <-b.observed:
+	default:
+		t.Fatal("allocator returned without observing the cancelled context")
 	}
 }

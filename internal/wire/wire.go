@@ -63,7 +63,6 @@ type Response struct {
 	LowerBound       int64    `json:"lower_bound,omitempty"`
 	Memory           int64    `json:"memory,omitempty"`
 	SkippedByBreaker []string `json:"skipped_by_breaker,omitempty"`
-	HedgeWon         bool     `json:"hedge_won,omitempty"`
 	CacheHit         bool     `json:"cache_hit,omitempty"`
 	Deduped          bool     `json:"deduped,omitempty"`
 	HintReplayed     bool     `json:"hint_replayed,omitempty"`
@@ -71,8 +70,8 @@ type Response struct {
 	ElapsedMS        float64  `json:"elapsed_ms,omitempty"`
 	RetryAfterMS     float64  `json:"retry_after_ms,omitempty"`
 	// DegradedByBrownout marks a verdict produced while the server's
-	// brownout controller had the ladder degraded (shrunk step pots,
-	// hedging off, or search skipped). The answer is still valid — the
+	// brownout controller had the ladder degraded (shrunk step pots or
+	// search skipped). The answer is still valid — the
 	// marker tells the client it was bought at reduced quality so
 	// latency-sensitive callers can decide to re-ask later.
 	DegradedByBrownout bool   `json:"degraded_by_brownout,omitempty"`
