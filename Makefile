@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint bench fuzz faultrace soak cachesoak obssoak chaossoak overloadsoak diffsoak cover
+.PHONY: ci build test race vet lint bench benchtest fuzz faultrace soak cachesoak obssoak chaossoak overloadsoak diffsoak cover
 
 ## ci: the full verification gate — lint, build, the test suite under the
 ## race detector (the parallel subproblem solver makes -race mandatory),
 ## the fault-injection suite re-run under -race, the serving-layer soak,
 ## the solution-cache soak, the observability soak, the subprocess chaos
 ## soak, the overload-control soak, the differential soak, the coverage
-## floors, and a fuzz smoke of the public API.
-ci: lint build race faultrace soak cachesoak obssoak chaossoak overloadsoak diffsoak cover fuzz
+## floors, the bench/ module's vet and tests, and a fuzz smoke of the
+## public API.
+ci: lint build race faultrace soak cachesoak obssoak chaossoak overloadsoak diffsoak cover benchtest fuzz
 
 build:
 	$(GO) build ./...
@@ -71,7 +72,8 @@ lint: vet
 ## soak: the serving-layer robustness suite under the race detector —
 ## concurrent clients against internal/server with faults armed: exactly one
 ## terminal outcome per request, shedding before unbounded queue growth,
-## breaker trip/probe/recovery, bounded drain. See DESIGN.md §9.
+## breaker trip/probe/recovery on ErrInternal (and no trip on budget
+## exhaustion), bounded drain. See DESIGN.md §9.
 soak:
 	$(GO) test -race -count=1 -run 'Soak|Drain|Breaker|Shed|Submit|Admit|Queue|ServeStream|Handle' ./internal/server ./cmd/telamallocd
 
@@ -96,7 +98,8 @@ obssoak:
 ## fleet hammers it: every request must end in exactly one of {solved,
 ## degraded, typed error}, and a SIGTERM drain must complete within
 ## -drain-timeout with slowloris, idle, and long-solving connections armed.
-## See DESIGN.md §13.
+## A long solve is bounded by its own -req-timeout deadline, the daemon's
+## only overrun mechanism. See DESIGN.md §13.
 chaossoak:
 	TELAMALLOC_CHAOSSOAK=1 $(GO) test -race -count=1 -run TestChaosSoak -timeout 300s ./cmd/telamallocd
 
@@ -153,3 +156,9 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+## benchtest: vet and test the bench/ module. The root `go test ./...` does
+## not reach it, yet it imports internal packages, so a deleted or renamed
+## identifier would otherwise surface only when the benchmark runs.
+benchtest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

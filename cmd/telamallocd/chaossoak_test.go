@@ -197,7 +197,6 @@ func startDaemonProc(t *testing.T, bin, addr string) *exec.Cmd {
 		"-drain-timeout", "1s",
 		"-req-timeout", "5s",
 		"-idle-timeout", "10s",
-		"-watchdog-multiple", "4",
 	)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

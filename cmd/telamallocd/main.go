@@ -59,8 +59,8 @@
 // -max-conns bounds concurrency (excess connections are shed with a typed
 // report), and scanner failures — oversized or truncated lines, idle
 // reaps, shutdown — emit one final typed rejection before the connection
-// closes. -watchdog-multiple arms the server's solve watchdog
-// (DESIGN.md §13).
+// closes. A solve that overruns its -req-timeout or timeout_ms stops at
+// the deadline and fails with the budget verdict (DESIGN.md §13).
 //
 // On stdin EOF (or SIGINT/SIGTERM in -listen mode) the daemon drains
 // gracefully — stops admitting, finishes or cancels in-flight work within
@@ -116,14 +116,12 @@ func main() {
 		parallel     = flag.Int("parallel", 0, "solver parallelism per request (0 = GOMAXPROCS)")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive internal failures that open a stage's breaker (-1 disables)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker window before a half-open probe")
-		slowStage    = flag.Duration("slow-stage", 0, "also trip a breaker when a stage times out after this long (0 = off)")
 		drainTO      = flag.Duration("drain-timeout", 5*time.Second, "graceful-drain deadline on shutdown")
 		cacheSize    = flag.Int("cache-size", 256, "solution cache capacity in entries (0 disables caching)")
 		noDedup      = flag.Bool("no-dedup", false, "disable singleflight deduplication of concurrent identical requests")
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "close a -listen connection after this long without a completed read (0 = never)")
 		maxConns     = flag.Int("max-conns", 256, "concurrent -listen connections; excess connections are shed with a typed report")
 		maxLine      = flag.Int("max-line", 1<<26, "largest accepted request line in bytes")
-		wdMultiple   = flag.Float64("watchdog-multiple", 0, "force-cancel a solve exceeding this multiple of its budget (0 = off)")
 		classDepth   = flag.String("class-depth", "", `per-class queue bounds, e.g. "interactive=128,batch=64,background=16" (unset classes use -queue)`)
 		tenantRPS    = flag.Float64("tenant-rps", 0, "per-tenant sustained admission rate in requests/second (0 = no rate limit)")
 		tenantBurst  = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (0 = ceil of -tenant-rps)")
@@ -185,9 +183,7 @@ func main() {
 		Breaker: server.BreakerConfig{
 			Threshold: *brkThreshold,
 			Cooldown:  *brkCooldown,
-			SlowStage: *slowStage,
 		},
-		Watchdog:   server.WatchdogConfig{BudgetMultiple: *wdMultiple},
 		ClassDepth: classBounds,
 		Tenant: server.TenantConfig{
 			RPS:      *tenantRPS,
@@ -411,16 +407,6 @@ func handle(srv *server.Server, wreq wireRequest) wireResponse {
 		out.Outcome = wire.OutcomeRejected
 		out.ErrorCode = wire.CodeDraining
 		out.Error = err.Error()
-	case errors.Is(err, server.ErrWatchdog):
-		// The watchdog's kill is terminal and non-retryable as-is: the job
-		// provably blew through its budget, so a verbatim retry would too.
-		out.Outcome = wire.OutcomeFailed
-		out.ErrorCode = wire.CodeWatchdogKilled
-		out.Error = err.Error()
-		if resp != nil {
-			out.Memory = resp.Memory
-			out.ElapsedMS = float64(resp.Elapsed.Microseconds()) / 1e3
-		}
 	case errors.Is(err, server.ErrCancelled):
 		out.Outcome = wire.OutcomeCancelled
 		out.Error = err.Error()

@@ -6,6 +6,7 @@ package telamalloc
 // without changing the verdict.
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,30 @@ func TestPipelineExportsTraceAndReplaysIt(t *testing.T) {
 	}
 	if warm.Trace == nil || warm.Trace.Winner != cold.Trace.Winner {
 		t.Errorf("warm trace %+v, want the hint re-exported for the next caller", warm.Trace)
+	}
+}
+
+// Allocate honours the same traces: a pipeline's exported trace settles a
+// later Allocate call without a single search step.
+func TestAllocateReplaysPipelineTrace(t *testing.T) {
+	p := tightProblem(t)
+	cold, err := AllocatePipeline(p, WithMaxSteps(100000))
+	if err != nil {
+		t.Fatalf("cold pipeline: %v", err)
+	}
+	a, err := New(WithMaxSteps(100000))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sol, st, err := a.Allocate(context.Background(), p, WithHints(cold.Trace))
+	if err != nil {
+		t.Fatalf("warm allocate: %v", err)
+	}
+	if err := sol.Validate(p); err != nil {
+		t.Fatalf("replayed solution invalid: %v", err)
+	}
+	if st.Steps != 0 {
+		t.Errorf("warm allocate took %d steps, want 0 (the trace settles the call)", st.Steps)
 	}
 }
 

@@ -103,12 +103,6 @@ type Config struct {
 	// panic; panics are contained and surface as telamon.Internal. See
 	// internal/faultinject. Must be nil in production configurations.
 	Hook func(point string) bool
-	// Hint, when non-nil, proposes a complete packing to try before any
-	// search: a replayed solution from the serving layer's cache. It is
-	// trusted only after validating against the problem; an invalid hint is
-	// silently ignored and the solve proceeds cold. Hints never change the
-	// answer's validity — only how fast a repeated problem reaches it.
-	Hint *buffers.Solution
 	// Obs, when non-nil, routes this solve's telemetry (effort counters,
 	// per-solve histograms, the stride-sampled live step counter) into the
 	// given registry instead of the process-global obs.Default(). Recording
@@ -168,12 +162,6 @@ func solve(p *buffers.Problem, cfg Config) Result {
 	cfg = cfg.withContext()
 	if len(p.Buffers) == 0 {
 		return Result{Status: telamon.Solved, Solution: buffers.NewSolution(0)}
-	}
-	if cfg.Hint != nil && cfg.Hint.Validate(p) == nil {
-		// A valid replayed packing short-circuits the whole search: the
-		// answer is already proven, so a warm start costs one validation
-		// sweep. Invalid hints fall through to the cold path below.
-		return Result{Status: telamon.Solved, Solution: cfg.Hint.Clone()}
 	}
 	var groups [][]int
 	if cfg.DisableSplit {

@@ -63,12 +63,6 @@ const (
 	// tenant's token bucket were empty — the deterministic way to force a
 	// tenant shed; a panic must be contained by Submit.
 	PointServerTenant = "server:tenant"
-	// PointServerWatchdog fires on every solve-watchdog scan. A stall
-	// models a descheduled watchdog; a panic must be contained by the
-	// watchdog loop; a starve makes the watchdog treat every scanned job
-	// as overdue — the deterministic way to force a watchdog kill without
-	// real wall-clock overruns.
-	PointServerWatchdog = "server:watchdog"
 	// PointConnAccept fires in the daemon's accept loop for each accepted
 	// connection, before the connection-limit check. A starve makes the
 	// daemon shed the connection as if the limit were reached; a stall

@@ -7,18 +7,12 @@ import (
 
 // BreakerConfig tunes the per-stage circuit breakers.
 type BreakerConfig struct {
-	// Threshold is the number of consecutive qualifying failures that
+	// Threshold is the number of consecutive ErrInternal failures that
 	// opens a stage's breaker (default 3; negative disables breakers).
 	Threshold int
 	// Cooldown is how long an open breaker skips its stage before
 	// admitting a half-open probe (default 5s).
 	Cooldown time.Duration
-	// SlowStage, when > 0, additionally counts a stage as failed when it
-	// returned a budget verdict after at least this much wall time — the
-	// "stage times out" trip condition. Zero counts only ErrInternal,
-	// because budget exhaustion alone is the pipeline's normal escalation
-	// path on hard instances, not a sign the stage is broken.
-	SlowStage time.Duration
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {

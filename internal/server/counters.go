@@ -22,8 +22,6 @@ type counters struct {
 	forceCancelled   atomic.Int64
 	dedupShared      atomic.Int64
 	hintReplays      atomic.Int64
-	watchdogScans    atomic.Int64
-	watchdogKills    atomic.Int64
 	expiredDequeued  atomic.Int64
 	expiredEvicted   atomic.Int64
 	tenantShed       atomic.Int64
@@ -68,12 +66,6 @@ type Counters struct {
 	// HintReplays counts pipeline runs settled by replaying a decision
 	// trace instead of searching.
 	HintReplays int64
-	// WatchdogScans counts solve-watchdog passes over the active-job
-	// registry; WatchdogKills counts jobs force-cancelled for running past
-	// the configured multiple of their budget. Each kill is also counted
-	// under Failed once the worker delivers the typed verdict.
-	WatchdogScans int64
-	WatchdogKills int64
 	// ExpiredInQueue counts requests whose budget ran out while queued and
 	// were short-circuited at dequeue; ExpiredEvicted counts those removed
 	// by an eager eviction sweep before any worker touched them. Both are
@@ -121,8 +113,6 @@ func (s *Server) Snapshot() Counters {
 		ForceCancelled:    c.forceCancelled.Load(),
 		DedupShared:       c.dedupShared.Load(),
 		HintReplays:       c.hintReplays.Load(),
-		WatchdogScans:     c.watchdogScans.Load(),
-		WatchdogKills:     c.watchdogKills.Load(),
 		ExpiredInQueue:    c.expiredDequeued.Load(),
 		ExpiredEvicted:    c.expiredEvicted.Load(),
 		TenantShed:        c.tenantShed.Load(),

@@ -33,11 +33,6 @@ const (
 	metricCacheEvents   = "telamalloc_server_cache_events_total"
 	metricCacheEntries  = "telamalloc_server_cache_entries"
 
-	metricWatchdogScans   = "telamalloc_watchdog_scans_total"
-	metricWatchdogKills   = "telamalloc_watchdog_kills_total"
-	metricWatchdogActive  = "telamalloc_watchdog_active_jobs"
-	metricWatchdogOverrun = "telamalloc_watchdog_overrun_seconds"
-
 	metricClassDepth = "telamalloc_server_class_queue_depth"
 	metricExpired    = "telamalloc_server_expired_in_queue_total"
 	metricTenantShed = "telamalloc_server_tenant_shed_total"
@@ -50,9 +45,8 @@ const (
 // serverMetrics holds the stateful series the serve path observes into;
 // everything else is func-backed and needs no handle.
 type serverMetrics struct {
-	queueWait       *obs.Histogram
-	service         *obs.Histogram
-	watchdogOverrun *obs.Histogram
+	queueWait *obs.Histogram
+	service   *obs.Histogram
 }
 
 // registry resolves the server's metrics registry (nil → process-global).
@@ -68,9 +62,8 @@ func (s *Server) registry() *obs.Registry {
 func (s *Server) bindMetrics() {
 	r := s.registry()
 	s.metrics = &serverMetrics{
-		queueWait:       r.Histogram(metricQueueWait, "time requests spent queued before a worker dequeued them"),
-		service:         r.Histogram(metricService, "worker service time per dequeued request"),
-		watchdogOverrun: r.Histogram(metricWatchdogOverrun, "how far past their watchdog deadline killed jobs had run"),
+		queueWait: r.Histogram(metricQueueWait, "time requests spent queued before a worker dequeued them"),
+		service:   r.Histogram(metricService, "worker service time per dequeued request"),
 	}
 	r.GaugeFunc(metricQueueDepth, "current admission queue occupancy",
 		func() int64 { return int64(s.queue.len()) })
@@ -113,9 +106,6 @@ func (s *Server) bindMetrics() {
 	r.CounterFunc(metricForceCancel, "in-flight requests force-cancelled by an expired drain", c.forceCancelled.Load)
 	r.CounterFunc(metricDedupShared, "responses shared from a concurrent identical solve", c.dedupShared.Load)
 	r.CounterFunc(metricHintReplays, "pipeline runs settled by replaying a decision trace", c.hintReplays.Load)
-	r.CounterFunc(metricWatchdogScans, "solve-watchdog passes over the active-job registry", c.watchdogScans.Load)
-	r.CounterFunc(metricWatchdogKills, "jobs force-cancelled for overrunning the watchdog budget multiple", c.watchdogKills.Load)
-	r.GaugeFunc(metricWatchdogActive, "jobs currently watched by the solve watchdog", s.watchdogActive)
 
 	for _, e := range []struct {
 		label string

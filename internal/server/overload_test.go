@@ -150,7 +150,8 @@ func TestClassQueueEvictExpired(t *testing.T) {
 // admission capacity.
 func TestBatchFloodCannotShedInteractive(t *testing.T) {
 	gate := make(chan struct{})
-	var once sync.Once
+	parked := make(chan struct{})
+	var once, parkOnce sync.Once
 	s := New(Config{
 		Workers:      1,
 		QueueDepth:   4,
@@ -158,6 +159,7 @@ func TestBatchFloodCannotShedInteractive(t *testing.T) {
 		DisableDedup: true,
 		Hook: func(point string) bool {
 			if point == faultinject.PointServerDequeue {
+				parkOnce.Do(func() { close(parked) })
 				<-gate // wedge the lone worker until the test releases it
 			}
 			return false
@@ -180,6 +182,10 @@ func TestBatchFloodCannotShedInteractive(t *testing.T) {
 	// flood: far more than the lane bound, so sheds are guaranteed.
 	batchRes := make(chan error, 16)
 	launch(PriorityBatch, 16, batchRes)
+	// The worker must hold a batch job before interactive joins: a worker
+	// still idle would dequeue an interactive job first (strict priority)
+	// and leave that lane one short.
+	<-parked
 	// Wait until the batch lane is actually full before interactive joins.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.queue.lenClass(1) < 4 {

@@ -42,12 +42,6 @@ var (
 	// ErrDrainTimeout is returned by Drain when in-flight work had to be
 	// force-cancelled because the drain deadline expired.
 	ErrDrainTimeout = errors.New("server: drain deadline exceeded, in-flight work cancelled")
-	// ErrWatchdog is wrapped by the error Submit returns when the solve
-	// watchdog force-cancelled the request for running past the configured
-	// multiple of its budget (Config.Watchdog). The Response, when present,
-	// carries OutcomeFailed. Deliberately distinct from ErrCancelled: the
-	// caller did nothing; the solve wedged.
-	ErrWatchdog = errors.New("server: solve watchdog killed request")
 	// ErrExpiredInQueue is wrapped by the error Submit returns (alongside
 	// telamalloc.ErrBudget) when a request's wall budget ran out while it
 	// was still queued — at dequeue, or during an eager eviction sweep.

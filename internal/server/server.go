@@ -11,8 +11,8 @@
 //     Submit so queue wait spends it, carved across pipeline stages by the
 //     pipeline's share logic;
 //   - per-stage circuit breakers: a stage that repeatedly fails with
-//     ErrInternal (or times out, when configured) is skipped for a
-//     cooldown window and re-admitted through half-open probes;
+//     ErrInternal is skipped for a cooldown window and re-admitted through
+//     half-open probes;
 //   - graceful drain: Drain stops admitting, lets in-flight work finish,
 //     and force-cancels whatever remains when the drain deadline expires.
 //
@@ -87,11 +87,6 @@ type Config struct {
 	Parallelism int
 	// Breaker tunes the per-stage circuit breakers.
 	Breaker BreakerConfig
-	// Watchdog tunes the solve watchdog (off by default). When enabled it
-	// force-cancels jobs still running past a multiple of their budget,
-	// records telamalloc_watchdog_* metrics, and reports the wedged stage
-	// to its breaker as a failure.
-	Watchdog WatchdogConfig
 	// DrainTimeout is Close's drain deadline (default 5s).
 	DrainTimeout time.Duration
 	// CacheSize bounds the solution cache (0 = default 256 entries,
@@ -133,7 +128,6 @@ func (c Config) withDefaults() Config {
 		c.CacheSize = 256
 	}
 	c.Breaker = c.Breaker.withDefaults()
-	c.Watchdog = c.Watchdog.withDefaults()
 	c.Tenant = c.Tenant.withDefaults()
 	c.Brownout = c.Brownout.withDefaults()
 	return c
@@ -179,13 +173,7 @@ type Server struct {
 
 	cache *cache.Cache // nil when Config.CacheSize < 0
 
-	wdMu       sync.Mutex // guards wdJobs
-	wdJobs     map[*job]struct{}
-	wdStop     chan struct{}
-	wdStopOnce sync.Once
-	wdDone     chan struct{}
-
-	bwStop     chan struct{} // brownout controller lifecycle, mirrors wd*
+	bwStop     chan struct{} // brownout controller lifecycle
 	bwStopOnce sync.Once
 	bwDone     chan struct{}
 
@@ -218,9 +206,6 @@ type job struct {
 	done    chan struct{}
 	resp    *Response
 	err     error
-
-	wdDeadline time.Time   // submitted + budget × watchdog multiple
-	wdKilled   atomic.Bool // set once by the watchdog before j.cancel
 }
 
 // settle claims the right to deliver the job's terminal outcome. Exactly
@@ -237,9 +222,6 @@ func New(cfg Config) *Server {
 		breakers: make(map[string]*breaker, len(pipelineStages)),
 		latency:  stats.NewEWMA(0.2),
 		flights:  make(map[string]*flight),
-		wdJobs:   make(map[*job]struct{}),
-		wdStop:   make(chan struct{}),
-		wdDone:   make(chan struct{}),
 		bwStop:   make(chan struct{}),
 		bwDone:   make(chan struct{}),
 	}
@@ -264,11 +246,6 @@ func New(cfg Config) *Server {
 	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
-	}
-	if cfg.Watchdog.enabled() {
-		go s.watchdogLoop()
-	} else {
-		close(s.wdDone)
 	}
 	if s.brown != nil {
 		go s.brownoutLoop()
@@ -801,8 +778,6 @@ func (s *Server) serveJob(j *job) {
 	if j.release != nil {
 		defer j.release()
 	}
-	unwatch := s.watchJob(j)
-	defer unwatch()
 	wait := time.Since(j.submitted)
 	s.metrics.queueWait.ObserveDuration(wait.Nanoseconds())
 	s.brown.observe(wait)
@@ -874,7 +849,7 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 				// Settle the breaker decisions with no signal: without this,
 				// a half-open probe slot would stay held forever and the
 				// stage could never be re-admitted.
-				s.observeBreakers(decisions, telamalloc.PipelineResult{}, false)
+				s.observeBreakers(decisions, telamalloc.PipelineResult{})
 			}
 			err = fmt.Errorf("%w: panic in server worker: %v", telamalloc.ErrInternal, r)
 			resp = &Response{Outcome: OutcomeFailed, Memory: j.req.Problem.Memory, Err: err.Error()}
@@ -887,10 +862,6 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 		s.cfg.Hook(faultinject.PointServerDequeue)
 	}
 	if cerr := j.ctx.Err(); cerr != nil {
-		if j.wdKilled.Load() {
-			werr := s.watchdogError(j)
-			return &Response{Outcome: OutcomeFailed, Memory: j.req.Problem.Memory, Err: werr.Error()}, werr
-		}
 		return nil, fmt.Errorf("%w: %v", ErrCancelled, cerr)
 	}
 	var timeout time.Duration
@@ -967,16 +938,10 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 	}
 
 	res, perr := telamalloc.AllocatePipeline(j.req.Problem, opts...)
-	s.observeBreakers(decisions, res, j.wdKilled.Load())
+	s.observeBreakers(decisions, res)
 	decisions = nil // settled: a later panic must not release probe slots twice
 	s.traceStages(j.req.TraceID, res)
 	if errors.Is(perr, telamalloc.ErrCancelled) {
-		if j.wdKilled.Load() {
-			// The cancellation was the watchdog's kill, not the caller's:
-			// surface it as the typed overrun failure.
-			werr := s.watchdogError(j)
-			return &Response{Outcome: OutcomeFailed, Memory: j.req.Problem.Memory, Err: werr.Error()}, werr
-		}
 		return nil, fmt.Errorf("%w: %v", ErrCancelled, perr)
 	}
 	resp = responseFrom(res, perr, skipped)
@@ -1040,10 +1005,10 @@ func (s *Server) admitStages() (ladder, skipped []string, decisions map[string]d
 }
 
 // observeBreakers settles each stage's breaker decision against the
-// pipeline's per-stage reports. wdKilled marks a run the solve watchdog
-// force-cancelled: unlike an ordinary cancellation, the kill IS a health
-// signal, charged to the stage that was running when it landed.
-func (s *Server) observeBreakers(decisions map[string]decision, res telamalloc.PipelineResult, wdKilled bool) {
+// pipeline's per-stage reports. Only ErrInternal counts as a failure:
+// budget exhaustion is the ladder's normal escalation path on hard
+// instances, not a sign the stage is broken.
+func (s *Server) observeBreakers(decisions map[string]decision, res telamalloc.PipelineResult) {
 	now := time.Now()
 	reports := make(map[string]telamalloc.StageReport, len(res.Stages))
 	for _, rep := range res.Stages {
@@ -1052,29 +1017,15 @@ func (s *Server) observeBreakers(decisions map[string]decision, res telamalloc.P
 	for stage, d := range decisions {
 		rep, ok := reports[stage]
 		ran := ok && !rep.Skipped
-		if ran && errors.Is(rep.Err, telamalloc.ErrCancelled) && !wdKilled {
+		if ran && errors.Is(rep.Err, telamalloc.ErrCancelled) {
 			// A cancelled stage (caller gave up, drain force-cancel) carries
 			// no health signal: it must not close a half-open breaker as a
 			// "successful" probe, and it is not a failure either. Report it
 			// as not-run so the breaker releases the probe slot without a
-			// verdict. A watchdog kill is the exception: the stage wedged
-			// past its budget multiple, which is exactly the unhealthiness
-			// breakers exist to contain.
+			// verdict.
 			ran = false
 		}
-		failed := false
-		if ran && rep.Err != nil {
-			switch {
-			case errors.Is(rep.Err, telamalloc.ErrInternal):
-				failed = true
-			case wdKilled && errors.Is(rep.Err, telamalloc.ErrCancelled):
-				failed = true
-			case s.cfg.Breaker.SlowStage > 0 &&
-				errors.Is(rep.Err, telamalloc.ErrBudget) &&
-				rep.Elapsed >= s.cfg.Breaker.SlowStage:
-				failed = true
-			}
-		}
+		failed := ran && errors.Is(rep.Err, telamalloc.ErrInternal)
 		tripped, recovered := s.breakers[stage].observe(d, ran, failed, now)
 		if tripped {
 			s.counters.breakerTrips.Add(1)
@@ -1106,12 +1057,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.workerWG.Wait()
-		// The watchdog outlives the workers (a kill needs a live worker to
-		// observe it) and stops only once they are gone. The brownout
-		// controller follows the same discipline — its last evaluations
-		// see the final queue waits drain out.
-		s.wdStopOnce.Do(func() { close(s.wdStop) })
-		<-s.wdDone
+		// The brownout controller outlives the workers and stops only once
+		// they are gone: its last evaluations see the final queue waits
+		// drain out.
 		s.bwStopOnce.Do(func() { close(s.bwStop) })
 		<-s.bwDone
 		close(done)

@@ -399,6 +399,79 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 	}
 }
 
+// Budget exhaustion is the ladder's normal escalation path, not a sign the
+// stage is broken: even a hair-trigger breaker must not trip on it.
+func TestBreakerIgnoresBudgetExhaustion(t *testing.T) {
+	p := tightProblem(t)
+	s := New(Config{
+		Workers:   1,
+		Breaker:   BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+		CacheSize: -1,
+	})
+	defer mustDrain(t, s)
+	for i := 0; i < 3; i++ {
+		// Three steps cannot pack the tight problem: search runs out of
+		// budget and spill degrades the answer.
+		resp, err := s.Submit(context.Background(), Request{Problem: p, MaxSteps: 3})
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if resp.Winner == telamalloc.StageSearch {
+			t.Fatalf("request %d: search won on a 3-step pot; the fixture no longer exhausts it", i)
+		}
+		if len(resp.SkippedByBreaker) != 0 {
+			t.Fatalf("request %d skipped %v: budget exhaustion tripped a breaker", i, resp.SkippedByBreaker)
+		}
+	}
+	if c := s.Snapshot(); c.BreakerTrips != 0 {
+		t.Fatalf("counters %+v, want no breaker trips", c)
+	}
+}
+
+// wedgeProblem is provably infeasible (30 co-live buffers of 7 bytes in 64),
+// so the ladder goes straight to spill, whose first packing attempt runs
+// into the stall faults.
+func wedgeProblem() Problem {
+	p := Problem{Memory: 64, Name: "wedge"}
+	for i := 0; i < 30; i++ {
+		p.Buffers = append(p.Buffers, telamalloc.Buffer{Start: 0, End: 10, Size: 7})
+	}
+	return p
+}
+
+// A solve that stalls through its whole budget stops at the deadline on its
+// own: the first budget poll after the stall reports the overrun, and the
+// request fails once with ErrBudget instead of degrading by spilling every
+// buffer behind an expired deadline.
+func TestStalledSolveStopsAtDeadline(t *testing.T) {
+	const stall = 400 * time.Millisecond
+	inj := faultinject.New(
+		faultinject.Fault{Point: "group0", Kind: faultinject.Stall, StallFor: stall},
+	)
+	s := New(Config{Workers: 1, QueueDepth: 4, Hook: inj.Hook})
+	defer mustDrain(t, s)
+
+	start := time.Now()
+	resp, err := s.Submit(context.Background(), Request{Problem: wedgeProblem(), Timeout: 30 * time.Millisecond})
+	elapsed := time.Since(start)
+	if !errors.Is(err, telamalloc.ErrBudget) {
+		t.Fatalf("Submit returned err %v (resp %+v) after %v, want ErrBudget", err, resp, elapsed)
+	}
+	if resp == nil || resp.Outcome != OutcomeFailed || len(resp.Spilled) != 0 {
+		t.Fatalf("resp %+v, want OutcomeFailed with no spilled buffers", resp)
+	}
+	if elapsed >= stall+200*time.Millisecond {
+		t.Errorf("stalled request took %v, want under %v", elapsed, stall+200*time.Millisecond)
+	}
+	c := s.Snapshot()
+	if c.Submitted != 1 || c.Failed != 1 {
+		t.Errorf("counters %+v, want exactly one failed outcome", c)
+	}
+	if accounted := c.Shed + c.RejectedDraining + c.Cancelled + c.Solved + c.Degraded + c.Failed; accounted != c.Submitted {
+		t.Errorf("counter ledger unbalanced: %+v (accounted %d of %d)", c, accounted, c.Submitted)
+	}
+}
+
 func TestQueueBudgetExhaustedInQueue(t *testing.T) {
 	gate := make(chan struct{})
 	s := New(Config{

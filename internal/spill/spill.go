@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/core"
@@ -46,6 +47,12 @@ type Request struct {
 	// allocation attempt, and allocators implementing ContextAllocator
 	// observe it mid-solve too.
 	Ctx context.Context
+	// Deadline, when non-zero, is the wall-clock end of planning: it is
+	// checked before every allocation attempt. It must match the
+	// allocator's own deadline — past it, every attempt fails at its first
+	// budget poll, which the planner would otherwise misread as "does not
+	// fit" and answer by evicting buffers.
+	Deadline time.Time
 }
 
 // ContextAllocator is implemented by allocators that support cooperative
@@ -60,6 +67,10 @@ var _ ContextAllocator = core.Allocator{}
 
 // ErrCancelled is returned when Request.Ctx is done before a plan is found.
 var ErrCancelled = errors.New("spill: planning cancelled")
+
+// ErrDeadline is returned when Request.Deadline passes before a plan is
+// found.
+var ErrDeadline = errors.New("spill: planning deadline exceeded")
 
 // ErrAllocatorPanic is wrapped when the packing allocator panics during
 // planning. The panic is contained, but planning aborts: a crashing
@@ -109,6 +120,9 @@ func Make(req Request) (*Plan, error) {
 	for {
 		if req.Ctx != nil && req.Ctx.Err() != nil {
 			return nil, fmt.Errorf("%w after %d attempts: %v", ErrCancelled, plan.Attempts, req.Ctx.Err())
+		}
+		if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
+			return nil, fmt.Errorf("%w after %d attempts", ErrDeadline, plan.Attempts)
 		}
 		sub, back := subset(p, retained)
 		plan.Attempts++

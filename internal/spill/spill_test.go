@@ -257,3 +257,19 @@ func TestContextAllocatorObservesCancel(t *testing.T) {
 		t.Fatal("allocator returned without observing the cancelled context")
 	}
 }
+
+// TestDeadlineStopsPlanning: once Request.Deadline has passed, Make fails
+// with ErrDeadline instead of reading every budget-starved attempt as "does
+// not fit" and evicting its way down to an empty packing.
+func TestDeadlineStopsPlanning(t *testing.T) {
+	p := &buffers.Problem{Memory: 4}
+	for i := 0; i < 6; i++ {
+		p.Buffers = append(p.Buffers, buffers.Buffer{Start: 0, End: 5, Size: 4})
+	}
+	p.Normalize()
+	alloc := core.Allocator{Config: core.Config{MaxSteps: 100000, Deadline: time.Now().Add(-time.Second)}}
+	plan, err := Make(Request{Problem: p, Allocator: alloc, Deadline: alloc.Config.Deadline})
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("plan %+v err %v, want ErrDeadline", plan, err)
+	}
+}

@@ -122,10 +122,6 @@ const (
 	// CodeShuttingDown closes a connection because the daemon is
 	// draining. Retryable against the restarted daemon.
 	CodeShuttingDown = "shutting_down"
-	// CodeWatchdogKilled fails a request whose solve overran the watchdog
-	// budget multiple and was force-cancelled. Retrying the same request
-	// with the same budget will likely overrun again.
-	CodeWatchdogKilled = "watchdog_killed"
 	// CodeDeadlineExceededInQueue fails a request whose budget expired
 	// while it was still queued — no solver step was spent on it. Not
 	// retryable: the same budget pushed through the same congestion will

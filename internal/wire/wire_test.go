@@ -37,7 +37,7 @@ func TestResponseAlwaysCarriesVersion(t *testing.T) {
 
 func TestRetryableCode(t *testing.T) {
 	retryable := []string{CodeDraining, CodeTooManyConnections, CodeOverloaded, CodeIdleTimeout, CodeShuttingDown, CodeTenantOverloaded}
-	permanent := []string{CodeBadRequest, CodeUnsupportedVersion, CodeLineTooLong, CodeTruncatedLine, CodeWatchdogKilled, CodeDeadlineExceededInQueue, "", "unknown"}
+	permanent := []string{CodeBadRequest, CodeUnsupportedVersion, CodeLineTooLong, CodeTruncatedLine, CodeDeadlineExceededInQueue, "", "unknown"}
 	for _, c := range retryable {
 		if !RetryableCode(c) {
 			t.Errorf("RetryableCode(%q) = false, want true", c)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"telamalloc/internal/buffers"
-	"telamalloc/internal/cache"
 	"telamalloc/internal/core"
 	"telamalloc/internal/gbt"
 	"telamalloc/internal/ilp"
@@ -280,9 +279,6 @@ func WithStepGate(m *StepGateModel, threshold float64) Option {
 func (c *config) finalize(q *buffers.Problem) core.Config {
 	cfg := c.core
 	cfg.Obs = c.obsReg
-	if c.hint != nil {
-		cfg.Hint = c.hintSolution(q)
-	}
 	if c.timeout > 0 {
 		deadline := time.Now().Add(c.timeout)
 		if cfg.Deadline.IsZero() || deadline.Before(cfg.Deadline) {
@@ -305,22 +301,6 @@ func (c *config) finalize(q *buffers.Problem) core.Config {
 		cfg.Gate = mlpolicy.NewStepGate(c.gate.forest, q, threshold)
 	}
 	return cfg
-}
-
-// hintSolution replays the configured decision trace onto q, returning the
-// transported packing when the shape fingerprints match and nil otherwise.
-// The caller (core.Solve) re-validates the packing before trusting it, so
-// this only has to be shape-safe, not correct.
-func (c *config) hintSolution(q *buffers.Problem) *buffers.Solution {
-	fp, perm := cache.Canonicalize(q)
-	if c.hint == nil || c.hint.Shape != fp.ShapeKey {
-		return nil
-	}
-	offsets := cache.Replay(c.hint.Offsets, perm)
-	if offsets == nil {
-		return nil
-	}
-	return &buffers.Solution{Offsets: offsets}
 }
 
 // BacktrackModel is a trained backtracking policy (a gradient boosted tree

@@ -514,6 +514,7 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 			Allocator: core.Allocator{Config: cfg},
 			MaxSpills: lr.c.pipe.maxSpills,
 			Ctx:       lr.c.ctx,
+			Deadline:  deadline,
 		}
 		if req.Weights != nil && len(req.Weights) == 0 {
 			req.Weights = nil
@@ -526,6 +527,8 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 			switch {
 			case errors.Is(err, spill.ErrCancelled):
 				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrCancelled, err)
+			case errors.Is(err, spill.ErrDeadline):
+				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrBudget, err)
 			case errors.Is(err, spill.ErrAllocatorPanic), errors.Is(err, core.ErrPanic):
 				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrInternal, err)
 			case errors.Is(err, spill.ErrCannotFit):

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/faultinject"
@@ -197,6 +198,29 @@ func TestPipelineBudgetExhausted(t *testing.T) {
 	}
 	if rep := stageByName(t, res, StageSearch); !errors.Is(rep.Err, ErrBudget) {
 		t.Errorf("search report err %v, want ErrBudget", rep.Err)
+	}
+}
+
+// An expired wall deadline must fail the spill stage with ErrBudget. Past
+// the deadline every packing attempt fails at its first budget poll; read
+// as "does not fit", that would evict every buffer and report the empty
+// packing as a degraded success.
+func TestPipelineSpillHonoursDeadline(t *testing.T) {
+	m, err := workload.ByName("FPN Model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := m.Generate(1)
+	q.Memory = buffers.Contention(q).Peak() * 95 / 100
+	res, err := AllocatePipeline(fromInternal(q), WithMaxSteps(20000), WithTimeout(time.Nanosecond))
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err %v (degraded=%v spill=%+v), want ErrBudget", err, res.Degraded, res.Spill)
+	}
+	if res.Degraded || res.Spill != nil {
+		t.Errorf("failed run reported a spill plan: degraded=%v spill=%+v", res.Degraded, res.Spill)
+	}
+	if rep := stageByName(t, res, StageSpill); !errors.Is(rep.Err, ErrBudget) {
+		t.Errorf("spill report err %v, want ErrBudget", rep.Err)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"telamalloc/internal/buffers"
+	"telamalloc/internal/cache"
 	"telamalloc/internal/core"
 	"telamalloc/internal/heuristics"
 	"telamalloc/internal/ilp"
@@ -122,14 +123,16 @@ func allocateWith(cfg config, p Problem) (Solution, Stats, error) {
 	if err := q.Validate(); err != nil {
 		return Solution{}, Stats{}, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
 	}
-	res := core.Solve(q, cfg.finalize(q))
-	st := Stats{
-		Steps:           res.Stats.Steps,
-		Placements:      res.Stats.Placements,
-		MinorBacktracks: res.Stats.MinorBacktracks,
-		MajorBacktracks: res.Stats.MajorBacktracks,
-		Subproblems:     res.Subproblems,
+	if cfg.hint != nil {
+		// A valid replayed packing settles the call for the cost of one
+		// validation sweep; an unusable hint falls through to the search.
+		fp, perm := cache.Canonicalize(q)
+		if sol := replayTrace(cfg.hint, q, fp, perm); sol != nil {
+			return Solution{Offsets: sol.Offsets}, Stats{}, nil
+		}
 	}
+	res := core.Solve(q, cfg.finalize(q))
+	st := statsFrom(res)
 	switch res.Status {
 	case telamon.Solved:
 		return Solution{Offsets: res.Solution.Offsets}, st, nil
