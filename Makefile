@@ -125,13 +125,15 @@ overloadsoak:
 ## one public sentinel — plus the cache-key invariant: fingerprint-equal
 ## problems must accept each other's replayed solutions, and the wire
 ## schema's untrusted-line parsing (FuzzWire) must never panic and must
-## re-encode to a fixed point.
+## re-encode to a fixed point. FuzzSearchEquivalence checks the incremental
+## candidate generation against its eager oracle: identical search trees.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAllocate -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzPipeline -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprint -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzWire -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzCheck -fuzztime=10s ./internal/check
+	$(GO) test -run='^$$' -fuzz=FuzzSearchEquivalence -fuzztime=10s ./internal/core
 
 ## diffsoak: the differential verification soak under the race detector —
 ## a client fleet and a bare Allocator solve the same seeded adversarial

@@ -24,9 +24,10 @@
 // Retries (shed requests, refused dials, draining daemons) back off
 // exponentially with full jitter, honoring the server's retry_after_ms as a
 // floor: wait = floor + uniform[0, min(MaxBackoff, BaseBackoff<<attempt)).
-// The caller's context deadline propagates into each attempt's wire
-// timeout_ms, so the server stops working on an answer nobody is waiting
-// for.
+// A draining daemon is closing the connection it rejected on, so that
+// retry always dials afresh. The caller's context deadline propagates into
+// each attempt's wire timeout_ms, so the server stops working on an answer
+// nobody is waiting for.
 package client
 
 import (
@@ -162,6 +163,11 @@ type netConn struct {
 	broken     chan struct{}
 	brokenOnce sync.Once
 	err        error // set before broken closes
+	// retired is set once the daemon announced, with a draining
+	// rejection, that it is closing this connection. It is set before the
+	// rejection is delivered, so the retry that rejection triggers always
+	// dials afresh instead of racing the close on the old connection.
+	retired atomic.Bool
 }
 
 // fail latches the connection as broken. Every pending and future waiter
@@ -214,6 +220,9 @@ func (c *Client) readLoop(cn *netConn) {
 			r := resp
 			connReport = &r
 			continue
+		}
+		if resp.ErrorCode == wire.CodeDraining {
+			cn.retired.Store(true)
 		}
 		cn.pmu.Lock()
 		ch := cn.pending[resp.ID]
@@ -283,7 +292,8 @@ func (c *Client) Close() error {
 func (c *Client) Dials() int64 { return c.dials.Load() }
 
 // getConn returns the live connection, dialing a fresh one if the previous
-// broke.
+// broke or was retired. A retired connection is left to its read loop:
+// replies to requests already on it still arrive until the daemon closes it.
 func (c *Client) getConn() (*netConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -295,7 +305,10 @@ func (c *Client) getConn() (*netConn, error) {
 		case <-c.cur.broken:
 			c.cur = nil // fall through to redial
 		default:
-			return c.cur, nil
+			if !c.cur.retired.Load() {
+				return c.cur, nil
+			}
+			c.cur = nil
 		}
 	}
 	nc, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
@@ -439,14 +452,33 @@ func (c *Client) attempt(ctx context.Context, req Request, id string) (resp *Rep
 	case r := <-ch:
 		return classify(&r)
 	case <-cn.broken:
+		// readLoop hands a reply to ch before it latches the connection
+		// broken, so a reply that did arrive is already buffered here; the
+		// select above may still have picked this case first.
+		if r, ok := delivered(ch); ok {
+			return classify(&r)
+		}
 		// Fully written, reply never arrived: the defining ambiguous case.
 		return nil, 0, &AmbiguousError{ID: id, Cause: cn.err}
 	case <-ctx.Done():
 		cn.unregister(id)
+		if r, ok := delivered(ch); ok {
+			return classify(&r)
+		}
 		// The request is on the wire and the caller is gone. The reply (if
 		// any) will be discarded by the read loop; the outcome is ambiguous
 		// by construction.
 		return nil, 0, &AmbiguousError{ID: id, Cause: context.Cause(ctx)}
+	}
+}
+
+// delivered returns a reply already buffered on ch without blocking.
+func delivered(ch chan wire.Response) (wire.Response, bool) {
+	select {
+	case r := <-ch:
+		return r, true
+	default:
+		return wire.Response{}, false
 	}
 }
 

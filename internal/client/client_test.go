@@ -288,6 +288,82 @@ func TestDrainingRejectionRetries(t *testing.T) {
 	}
 }
 
+// A reply the daemon sends right before closing the connection was
+// delivered: it must surface as that reply, never as an ambiguous outcome,
+// however the waiter's select orders the reply and the broken latch. The
+// fake answers every connection's one request and hangs up, many times
+// over, so a coin-flip select would fail almost surely. Each round dials a
+// fresh client: reusing a connection the fake already hung up on would
+// make the next request genuinely ambiguous.
+func TestReplyBeforeCloseIsDelivered(t *testing.T) {
+	f := newFake(t)
+	f.serve(func(conn net.Conn, sc *bufio.Scanner) {
+		if req, ok := f.readReq(sc); ok {
+			reply(conn, solvedFor(req))
+		}
+	})
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		c := mustDial(t, Config{Addr: f.addr(), Seed: 17})
+		resp, err := c.Submit(context.Background(), Request{Memory: 8, Buffers: oneBuffer})
+		c.Close()
+		if err != nil || resp.Outcome != wire.OutcomeSolved {
+			t.Fatalf("round %d: resp %+v err %v", i, resp, err)
+		}
+	}
+	if got := len(f.requests()); got != rounds {
+		t.Errorf("daemon saw %d requests, want %d (one per round, no resends)", got, rounds)
+	}
+}
+
+// After a draining rejection the retry must go out on a fresh connection,
+// never on the one the daemon is closing. Here the draining connection
+// stays open and unread — the window between the rejection and the close,
+// stretched to forever — so a retry sent on it would never be answered.
+func TestDrainingConnectionIsNotReused(t *testing.T) {
+	f := newFake(t)
+	hold := make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	go func() {
+		for first := true; ; first = false {
+			conn, err := f.ln.Accept()
+			if err != nil {
+				return
+			}
+			sc := bufio.NewScanner(conn)
+			if first {
+				if req, ok := f.readReq(sc); ok {
+					reply(conn, wire.Response{ID: req.ID, Outcome: wire.OutcomeRejected,
+						ErrorCode: wire.CodeDraining, Error: "draining"})
+				}
+				go func() { <-hold; conn.Close() }()
+				continue
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					req, ok := f.readReq(sc)
+					if !ok {
+						return
+					}
+					reply(conn, solvedFor(req))
+				}
+			}()
+		}
+	}()
+	c := mustDial(t, Config{Addr: f.addr(), Seed: 19, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := c.Submit(ctx, Request{Memory: 8, Buffers: oneBuffer})
+	if err != nil || resp.Outcome != wire.OutcomeSolved {
+		t.Fatalf("resp %+v err %v", resp, err)
+	}
+	if got := c.Dials(); got != 2 {
+		t.Errorf("Dials = %d, want 2 (the retry must redial)", got)
+	}
+}
+
 // The caller's context deadline must reach the daemon as timeout_ms, and
 // an explicit Request.Timeout must only shrink it.
 func TestDeadlinePropagation(t *testing.T) {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/telamon"
@@ -44,76 +45,76 @@ var Strategies = []Strategy{StrategyMaxSize, StrategyMaxArea, StrategyMaxLifetim
 
 // strategyPolicy is the single-heuristic ablation policy.
 type strategyPolicy struct {
-	strat Strategy
+	// order is every buffer in the strategy's static order, handed to
+	// every decision point as its tail; nil for lowest-position.
+	order []int
+	// pos is lowest-position's per-decision-point scratch, by buffer ID.
+	pos []int64
 }
 
-// Candidates returns every unplaced buffer ordered by the strategy's
-// criterion, so minor backtracks naturally fall through to the next-best
-// block.
-func (sp strategyPolicy) Candidates(st *telamon.State) []int {
-	var ids []int
-	for i := range st.Prob.Buffers {
-		if !st.Model.Placed(i) {
-			ids = append(ids, i)
-		}
-	}
-	switch sp.strat {
+func newStrategyPolicy(p *buffers.Problem, strat Strategy) *strategyPolicy {
+	sp := &strategyPolicy{}
+	var order func(a, b buffers.Buffer) int
+	switch strat {
 	case StrategyMaxSize:
-		sort.Slice(ids, func(a, b int) bool {
-			return keyDesc(st.Prob, ids[a], ids[b], func(x buffers.Buffer) int64 { return x.Size })
-		})
+		order = largerSize
 	case StrategyMaxArea:
-		sort.Slice(ids, func(a, b int) bool {
-			ka, kb := st.Prob.Buffers[ids[a]].Area(), st.Prob.Buffers[ids[b]].Area()
-			if ka != kb {
-				return ka > kb
-			}
-			return ids[a] < ids[b]
-		})
+		order = largerArea
 	case StrategyMaxLifetime:
-		sort.Slice(ids, func(a, b int) bool {
-			return keyDesc(st.Prob, ids[a], ids[b], buffers.Buffer.Lifetime)
-		})
-	case StrategyLowestPosition:
-		pos := make(map[int]int64, len(ids))
-		for _, id := range ids {
-			if p, ok := st.Model.LowestFeasible(id); ok {
-				pos[id] = p
-			} else {
-				pos[id] = 1 << 62
-			}
-		}
-		sort.Slice(ids, func(a, b int) bool {
-			if pos[ids[a]] != pos[ids[b]] {
-				return pos[ids[a]] < pos[ids[b]]
-			}
-			return ids[a] < ids[b]
-		})
+		order = longerLife
+	default:
+		sp.pos = make([]int64, len(p.Buffers))
+		return sp
 	}
-	return ids
+	sp.order = make([]int, len(p.Buffers))
+	for i := range sp.order {
+		sp.order[i] = i
+	}
+	sortStable(p, sp.order, order)
+	return sp
 }
 
-func keyDesc(p *buffers.Problem, a, b int, key func(buffers.Buffer) int64) bool {
-	ka, kb := key(p.Buffers[a]), key(p.Buffers[b])
-	if ka != kb {
-		return ka > kb
+// Candidates offers every unplaced buffer ordered by the strategy's
+// criterion (ties to the lower ID), so minor backtracks naturally fall
+// through to the next-best block. The static criteria share one presorted
+// tail; lowest-position depends on the state and is sorted per call.
+func (sp *strategyPolicy) Candidates(st *telamon.State) (picks, tail []int) {
+	if sp.order != nil {
+		return nil, sp.order
 	}
-	return a < b
+	for id := range st.Prob.Buffers {
+		if st.Model.Placed(id) {
+			continue
+		}
+		p, ok := st.Model.LowestFeasible(id)
+		if !ok {
+			p = 1 << 62
+		}
+		sp.pos[id] = p
+		picks = append(picks, id)
+	}
+	slices.SortFunc(picks, func(a, b int) int {
+		if c := cmp.Compare(sp.pos[a], sp.pos[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return picks, nil
 }
 
 // Placement places at the lowest possible position, like the paper's
 // ablation setup.
-func (sp strategyPolicy) Placement(st *telamon.State, buf int) (int64, bool) {
+func (sp *strategyPolicy) Placement(st *telamon.State, buf int) (int64, bool) {
 	return st.Model.LowestFeasible(buf)
 }
 
 // BacktrackTarget keeps the framework default; combined with
 // DisableConflictDriven this yields plain "go to the last valid point".
-func (sp strategyPolicy) BacktrackTarget(st *telamon.State, dp *telamon.DecisionPoint) (int, bool) {
+func (sp *strategyPolicy) BacktrackTarget(st *telamon.State, dp *telamon.DecisionPoint) (int, bool) {
 	return 0, false
 }
 
-var _ telamon.Policy = strategyPolicy{}
+var _ telamon.Policy = (*strategyPolicy)(nil)
 
 // SolveWithStrategy runs the single-strategy searcher on p with the given
 // step budget (0 = unlimited), reproducing the §7.2 ablation configuration:
@@ -125,5 +126,5 @@ func SolveWithStrategy(p *buffers.Problem, strat Strategy, maxSteps int64) telam
 		DisablePromotion:      true,
 		StuckThreshold:        -1,
 	}
-	return telamon.Search(p, nil, strategyPolicy{strat}, opts)
+	return telamon.Search(p, nil, newStrategyPolicy(p, strat), opts)
 }

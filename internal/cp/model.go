@@ -120,6 +120,11 @@ type Model struct {
 	minReason      []*reasonNode
 	maxReason      []*reasonNode
 	placed         []bool
+	// numPlaced counts the true entries of placed, so AllPlaced is O(1).
+	numPlaced int
+	// undone counts placements Pop has reverted over the model's lifetime;
+	// see PlacementsUndone.
+	undone uint64
 
 	pairs   []Pair
 	order   []Order
@@ -213,6 +218,12 @@ func (m *Model) Placed(buf int) bool { return m.placed[buf] }
 // Position returns the fixed position of a placed buffer.
 func (m *Model) Position(buf int) int64 { return m.posMin[buf] }
 
+// PlacementsUndone counts the placements Pop has reverted so far. The count
+// only grows, so a caller that remembers it can tell in O(1) whether any
+// buffer was unplaced since: while it is unchanged, the placed set has only
+// grown.
+func (m *Model) PlacementsUndone() uint64 { return m.undone }
+
 // Level returns the current decision level (number of pushes).
 func (m *Model) Level() int { return len(m.levels) }
 
@@ -242,7 +253,11 @@ func (m *Model) Pop() {
 		case tOrder:
 			m.order[e.idx] = Order(e.old)
 		case tPlaced:
-			m.placed[e.idx] = false
+			if e.old == 0 {
+				m.placed[e.idx] = false
+				m.numPlaced--
+				m.undone++
+			}
 		}
 	}
 	m.clearQueue()
@@ -316,8 +331,14 @@ func (m *Model) wake(v int32) {
 // simply surfaces as an immediate conflict.
 func (m *Model) Place(buf int, pos int64) *Conflict {
 	v := int32(buf)
-	m.trail = append(m.trail, trailEntry{tPlaced, v, 0, nil})
-	m.placed[buf] = true
+	var was int64
+	if m.placed[buf] {
+		was = 1
+	} else {
+		m.placed[buf] = true
+		m.numPlaced++
+	}
+	m.trail = append(m.trail, trailEntry{tPlaced, v, was, nil})
 	if !m.setMin(v, pos, -1) || !m.setMax(v, pos, -1) {
 		m.stats.Conflicts++
 		c := m.explainVar(Pair{v, v}, v)

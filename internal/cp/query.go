@@ -71,11 +71,4 @@ func (m *Model) Solution() []int64 {
 }
 
 // AllPlaced reports whether every buffer has been fixed.
-func (m *Model) AllPlaced() bool {
-	for _, p := range m.placed {
-		if !p {
-			return false
-		}
-	}
-	return true
-}
+func (m *Model) AllPlaced() bool { return m.numPlaced == len(m.placed) }

@@ -10,7 +10,7 @@ import (
 // placement, default backtracks.
 type minimalPolicy struct{}
 
-func (minimalPolicy) Candidates(st *State) []int { return nil }
+func (minimalPolicy) Candidates(st *State) (picks, tail []int) { return nil, nil }
 func (minimalPolicy) Placement(st *State, buf int) (int64, bool) {
 	return st.Model.LowestFeasible(buf)
 }

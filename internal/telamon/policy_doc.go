@@ -9,9 +9,12 @@ package telamon
 //
 //  1. Candidates — once per new decision point. The policy inspects the
 //     live state (placed buffers, solver bounds, phase structure) and
-//     returns an ordered queue of buffer IDs. The framework consumes the
-//     queue across minor backtracks and may later extend it with promoted
-//     candidates from deeper, failed decision points.
+//     returns its picks plus an optional shared fallback tail. The
+//     framework walks the picks, then the tail's entries that are neither
+//     placed nor picked, across minor backtracks, and may later replace
+//     the queue with promoted candidates from deeper, failed decision
+//     points. A static tail lets a policy build its orders once per
+//     problem and open each decision point in O(picks).
 //
 //  2. Placement — once per candidate attempt. The policy converts a buffer
 //     ID into a concrete position; ok=false marks the candidate dead

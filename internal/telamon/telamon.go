@@ -68,9 +68,16 @@ func (s Status) String() string {
 // any), and bookkeeping for smart backtracking.
 type DecisionPoint struct {
 	// Queue holds candidate buffer IDs in the order the policy wants them
-	// tried. Next indexes the first untried candidate.
+	// tried: the policy's picks, or after a candidate promotion the merged
+	// queue.
 	Queue []int
-	Next  int
+	// tail is the policy's shared, read-only fallback order, tried after
+	// Queue. Its entries that are placed or among the picks in Queue are
+	// not candidates here; a promotion materialises what it keeps of the
+	// tail into Queue and drops it.
+	tail []int
+	// Next indexes the first untried position of Queue followed by tail.
+	Next int
 	// tried records candidates already attempted at this decision point.
 	// The state a decision point sees is exactly the placement prefix below
 	// it, which a backjump to this point restores unchanged — so retrying a
@@ -108,10 +115,15 @@ func (st *State) Depth() int { return len(st.Stack) }
 
 // Policy supplies the domain knowledge for the search.
 type Policy interface {
-	// Candidates returns the ordered candidate buffers for a new decision
-	// point. Returning nil lets the framework fall back to all unplaced
-	// buffers in ID order.
-	Candidates(st *State) []int
+	// Candidates returns the ordered candidates for a new decision point
+	// in two parts. picks is tried first, in order; the decision point
+	// owns it from then on. tail is a fallback order of distinct buffer
+	// IDs tried after the picks, minus the entries that are placed or
+	// among the picks. The tail is shared, not copied: the policy must
+	// never modify it afterwards, which lets one order built per problem
+	// serve every decision point at O(1) cost. Returning neither lets the
+	// framework fall back to all unplaced buffers in ID order.
+	Candidates(st *State) (picks, tail []int)
 	// Placement chooses the position to try for buf in the current state.
 	// Returning ok=false marks the candidate as dead at this point.
 	Placement(st *State, buf int) (pos int64, ok bool)
@@ -257,6 +269,12 @@ type searcher struct {
 	stop Status
 	// sampled is the step count already reported through opts.OnSample.
 	sampled int64
+	// ids is the ID-order fallback tail, built on first use.
+	ids []int
+	// picks and merged are scratch sets for candidate promotion: the picks
+	// of the decision point whose tail is being walked, and the promoted
+	// queue under construction.
+	picks, merged idSet
 }
 
 // budgetPollStride is how many outOfBudget calls pass between time/cancel
@@ -344,15 +362,17 @@ func (s *searcher) top() *DecisionPoint {
 
 func (s *searcher) openDecisionPoint() *DecisionPoint {
 	st := s.st
-	queue := s.policy.Candidates(st)
-	if len(queue) == 0 {
-		for i := range st.Prob.Buffers {
-			if !st.Model.Placed(i) {
-				queue = append(queue, i)
+	picks, tail := s.policy.Candidates(st)
+	if len(picks) == 0 && len(tail) == 0 {
+		if s.ids == nil {
+			s.ids = make([]int, len(st.Prob.Buffers))
+			for i := range s.ids {
+				s.ids[i] = i
 			}
 		}
+		tail = s.ids
 	}
-	dp := &DecisionPoint{Queue: queue, Placed: -1, tried: make(map[int]bool)}
+	dp := &DecisionPoint{Queue: picks, tail: tail, Placed: -1, tried: make(map[int]bool)}
 	st.Stack = append(st.Stack, dp)
 	if d := len(st.Stack); d > st.Stats.MaxDepth {
 		st.Stats.MaxDepth = d
@@ -360,15 +380,20 @@ func (s *searcher) openDecisionPoint() *DecisionPoint {
 	return dp
 }
 
-// tryCandidates attempts queue entries until one commits. Returns true on a
-// successful placement.
+// tryCandidates attempts candidates until one commits. Returns true on a
+// successful placement. The budget is checked once per queue entry and
+// once per tail entry that is a candidate here, exactly as if the tail's
+// candidates had been appended to the queue when the point opened.
 func (s *searcher) tryCandidates(dp *DecisionPoint) bool {
 	st := s.st
-	for dp.Next < len(dp.Queue) {
+	for {
+		if dp.Next >= len(dp.Queue) && !s.skipTail(dp) {
+			return false
+		}
 		if s.outOfBudget() {
 			return false
 		}
-		buf := dp.Queue[dp.Next]
+		buf := dp.at(dp.Next)
 		dp.Next++
 		if st.Model.Placed(buf) || dp.tried[buf] {
 			continue
@@ -395,7 +420,57 @@ func (s *searcher) tryCandidates(dp *DecisionPoint) bool {
 		st.Stats.Placements++
 		return true
 	}
+}
+
+// at returns the candidate at position i of dp's queue followed by its
+// tail.
+func (dp *DecisionPoint) at(i int) int {
+	if i < len(dp.Queue) {
+		return dp.Queue[i]
+	}
+	return dp.tail[i-len(dp.Queue)]
+}
+
+// skipTail advances dp.Next, which lies in the tail, past the entries that
+// are not candidates here, and reports whether a candidate remains. Once
+// the walk reaches the tail every pick has been walked, so a pick is either
+// placed or tried, and no tail entry is tried before it is walked (the
+// tail's entries are distinct): "placed or tried" is exactly "placed or a
+// pick". The placed set is the one the point opened with, since a decision
+// point only ever runs at its own placement prefix.
+func (s *searcher) skipTail(dp *DecisionPoint) bool {
+	for i := dp.Next - len(dp.Queue); i < len(dp.tail); i++ {
+		if b := dp.tail[i]; !s.st.Model.Placed(b) && !dp.tried[b] {
+			dp.Next = len(dp.Queue) + i
+			return true
+		}
+	}
+	dp.Next = len(dp.Queue) + len(dp.tail)
 	return false
+}
+
+// candidates calls yield on dp's candidates from position from on, in
+// order — its queue, then the tail entries that are unplaced and not among
+// the picks — until yield returns false. It reads the live placed set, so
+// it must run while the model is at dp's placement prefix.
+func (s *searcher) candidates(dp *DecisionPoint, from int, yield func(int) bool) {
+	for ; from < len(dp.Queue); from++ {
+		if !yield(dp.Queue[from]) {
+			return
+		}
+	}
+	if from >= len(dp.Queue)+len(dp.tail) {
+		return
+	}
+	s.picks.reset(len(s.st.Prob.Buffers))
+	for _, b := range dp.Queue {
+		s.picks.add(b)
+	}
+	for _, b := range dp.tail[from-len(dp.Queue):] {
+		if !s.st.Model.Placed(b) && !s.picks.has(b) && !yield(b) {
+			return
+		}
+	}
 }
 
 // majorBacktrack unwinds the stack to the chosen target and resumes there.
@@ -409,14 +484,14 @@ func (s *searcher) majorBacktrack(exhausted *DecisionPoint) bool {
 	}
 	target, stuck := s.chooseTarget(exhausted)
 	if target < 0 {
-		s.unwindTo(-1, nil)
+		s.unwindTo(-1)
 		return false
 	}
-	var promoted []int
-	if !s.opts.DisablePromotion {
-		promoted = exhausted.Queue
+	if s.opts.DisablePromotion {
+		s.unwindTo(target)
+	} else {
+		s.promote(exhausted, target)
 	}
-	s.unwindTo(target, promoted)
 	if stuck {
 		// Restart the escape point's counter so the escape is not
 		// immediately re-triggered by its own history.
@@ -488,13 +563,50 @@ func (s *searcher) conflictTarget(c *cp.Conflict) (int, bool) {
 	return 0, false
 }
 
+// promote unwinds to target and puts the exhausted point's candidates ahead
+// of the target's remaining ones, deduplicated and capped at
+// Options.MaxCandidatesPerLevel: the failed candidates are tried again
+// under the shallower prefix (§5.4). Candidates the target has already
+// tried would fail identically (same placement prefix) and are dropped.
+// Only what the cap keeps is materialised: the promoted part is read under
+// the exhausted point's placements, before unwinding, and the rest under
+// the target's, after; the merged queue replaces the target's tail.
+func (s *searcher) promote(exhausted *DecisionPoint, target int) {
+	st := s.st
+	dp := st.Stack[target]
+	limit := s.opts.maxCandidates()
+	s.merged.reset(len(st.Prob.Buffers))
+	var queue []int
+	promoted, full := false, false
+	s.candidates(exhausted, 0, func(b int) bool {
+		promoted = true
+		if dp.tried[b] || !s.merged.add(b) {
+			return true
+		}
+		queue = append(queue, b)
+		full = len(queue) >= limit
+		return !full
+	})
+	s.unwindTo(target)
+	if !promoted {
+		return
+	}
+	if !full {
+		s.candidates(dp, dp.Next, func(b int) bool {
+			if s.merged.add(b) {
+				queue = append(queue, b)
+			}
+			return len(queue) < limit
+		})
+	}
+	dp.Queue, dp.tail, dp.Next = queue, nil, 0
+}
+
 // unwindTo pops decision points above target, undoing their placements and
 // folding their backtrack counts into the target; the target's own
 // placement is undone too so its remaining candidates can be retried.
-// promoted candidates (from the exhausted point) are inserted ahead of the
-// target's remaining queue, deduplicated and capped. target == -1 unwinds
-// everything.
-func (s *searcher) unwindTo(target int, promoted []int) {
+// target == -1 unwinds everything.
+func (s *searcher) unwindTo(target int) {
 	st := s.st
 	var carried int
 	for len(st.Stack)-1 > target {
@@ -517,37 +629,36 @@ func (s *searcher) unwindTo(target int, promoted []int) {
 		dp.Placed = -1
 		st.Model.Pop()
 	}
-	if len(promoted) > 0 {
-		// Promoted candidates the target has already attempted would fail
-		// identically (same placement prefix); drop them.
-		fresh := promoted[:0:0]
-		for _, b := range promoted {
-			if !dp.tried[b] {
-				fresh = append(fresh, b)
-			}
-		}
-		dp.Queue = mergeQueues(fresh, dp.Queue[dp.Next:], s.opts.maxCandidates())
-		dp.Next = 0
+}
+
+// idSet is a reusable set of buffer IDs that clears in O(1): a member's
+// mark equals the current generation.
+type idSet struct {
+	gen  uint32
+	mark []uint32
+}
+
+// reset empties the set, sizing it for IDs below n on first use.
+func (s *idSet) reset(n int) {
+	if s.mark == nil {
+		s.mark = make([]uint32, n)
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: stale marks could alias the new generation
+		clear(s.mark)
+		s.gen = 1
 	}
 }
 
-// mergeQueues prepends promoted to rest, removing duplicates and capping
-// the result at limit entries.
-func mergeQueues(promoted, rest []int, limit int) []int {
-	seen := make(map[int]bool, len(promoted)+len(rest))
-	out := make([]int, 0, len(promoted)+len(rest))
-	for _, lists := range [2][]int{promoted, rest} {
-		for _, b := range lists {
-			if !seen[b] {
-				seen[b] = true
-				out = append(out, b)
-				if len(out) >= limit {
-					return out
-				}
-			}
-		}
+func (s *idSet) has(b int) bool { return s.mark[b] == s.gen }
+
+// add inserts b and reports whether it was new.
+func (s *idSet) add(b int) bool {
+	if s.mark[b] == s.gen {
+		return false
 	}
-	return out
+	s.mark[b] = s.gen
+	return true
 }
 
 func clamp(x, lo, hi int) int {

@@ -94,7 +94,7 @@ type capProbe struct {
 	t   *testing.T
 }
 
-func (cp *capProbe) Candidates(st *State) []int {
+func (cp *capProbe) Candidates(st *State) (picks, tail []int) {
 	// The framework caps queues only when *promoting* candidates on a major
 	// backtrack; initial queues are the policy's responsibility. With this
 	// policy returning at most `max` candidates, any longer queue would
@@ -104,11 +104,11 @@ func (cp *capProbe) Candidates(st *State) []int {
 			cp.t.Errorf("queue length %d exceeds cap %d", len(dp.Queue), cp.max)
 		}
 	}
-	out := cp.idOrderPolicy.Candidates(st)
+	out, _ := cp.idOrderPolicy.Candidates(st)
 	if len(out) > cp.max {
 		out = out[:cp.max]
 	}
-	return out
+	return out, nil
 }
 
 func TestDisablePromotionStillTerminates(t *testing.T) {

@@ -13,14 +13,13 @@ import (
 // the solver's lowest feasible position, default backjumps.
 type idOrderPolicy struct{}
 
-func (idOrderPolicy) Candidates(st *State) []int {
-	var out []int
+func (idOrderPolicy) Candidates(st *State) (picks, tail []int) {
 	for i := range st.Prob.Buffers {
 		if !st.Model.Placed(i) {
-			out = append(out, i)
+			picks = append(picks, i)
 		}
 	}
-	return out
+	return picks, nil
 }
 
 func (idOrderPolicy) Placement(st *State, buf int) (int64, bool) {
@@ -183,19 +182,105 @@ func TestPolicyBacktrackOverrideIsConsulted(t *testing.T) {
 	}
 }
 
-func TestMergeQueues(t *testing.T) {
-	got := mergeQueues([]int{3, 1, 3}, []int{1, 2, 4}, 10)
-	want := []int{3, 1, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("mergeQueues = %v, want %v", got, want)
+// promoted runs one candidate promotion from an exhausted point holding
+// promoted to a target holding rest (as picks, or as a lazy tail when
+// asTail), and returns the target's merged queue.
+func promoted(promoted, rest []int, asTail bool, limit int) []int {
+	p := &buffers.Problem{Memory: 64}
+	for i := 0; i < 8; i++ {
+		p.Buffers = append(p.Buffers, buffers.Buffer{Start: 0, End: 1, Size: 1})
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mergeQueues = %v, want %v", got, want)
+	p.Normalize()
+	s := &searcher{
+		st:   &State{Model: cp.NewModel(p, nil), Prob: p, PlacedLevel: make([]int, len(p.Buffers))},
+		opts: Options{MaxCandidatesPerLevel: limit},
+	}
+	target := &DecisionPoint{Queue: rest, Placed: -1, tried: map[int]bool{}}
+	if asTail {
+		target.Queue, target.tail = nil, rest
+	}
+	exhausted := &DecisionPoint{Queue: promoted, Placed: -1, tried: map[int]bool{}}
+	s.st.Stack = []*DecisionPoint{target, exhausted}
+	s.promote(exhausted, 0)
+	if target.tail != nil || target.Next != 0 {
+		panic("promotion must leave a materialised queue")
+	}
+	return target.Queue
+}
+
+func TestMergeQueues(t *testing.T) {
+	for _, asTail := range []bool{false, true} {
+		got := promoted([]int{3, 1, 3}, []int{1, 2, 4}, asTail, 10)
+		want := []int{3, 1, 2, 4}
+		if len(got) != len(want) {
+			t.Fatalf("tail=%v: merged = %v, want %v", asTail, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("tail=%v: merged = %v, want %v", asTail, got, want)
+			}
+		}
+		if got := promoted([]int{1, 2, 3}, []int{4, 5}, asTail, 2); len(got) != 2 {
+			t.Errorf("tail=%v: cap ignored: %v", asTail, got)
 		}
 	}
-	if got := mergeQueues([]int{1, 2, 3}, []int{4, 5}, 2); len(got) != 2 {
-		t.Errorf("cap ignored: %v", got)
+}
+
+// A policy's lazy tail must search exactly like the same candidates handed
+// over eagerly: same stats, same offsets, same number of budget checks.
+func TestLazyTailMatchesEagerQueue(t *testing.T) {
+	ids := func(st *State) []int {
+		out := make([]int, len(st.Prob.Buffers))
+		for i := range out {
+			out[i] = len(out) - 1 - i // reverse ID order
+		}
+		return out
+	}
+	eager := funcPolicy{
+		cands: func(st *State) ([]int, []int) {
+			var q []int
+			for _, b := range ids(st) {
+				if !st.Model.Placed(b) {
+					q = append(q, b)
+				}
+			}
+			return q, nil
+		},
+		place: idOrderPolicy{}.Placement,
+		back:  idOrderPolicy{}.BacktrackTarget,
+	}
+	// The lazy policy picks the first two candidates and leaves the rest,
+	// picks included, to the tail.
+	lazy := eager
+	lazy.cands = func(st *State) ([]int, []int) {
+		q, _ := eager.cands(st)
+		if len(q) > 2 {
+			q = q[:2]
+		}
+		return q, ids(st)
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		p := hardInstance(seed, 12)
+		for _, opts := range []Options{{MaxSteps: 20000}, {MaxSteps: 20000, MaxCandidatesPerLevel: 3}, {MaxSteps: 20000, DisablePromotion: true}} {
+			var runs [2]Result
+			var checks [2]int
+			for i, pol := range []Policy{eager, lazy} {
+				o := opts
+				o.TestHook = func() bool { checks[i]++; return false }
+				runs[i] = Search(p, nil, pol, o)
+			}
+			if runs[0].Stats != runs[1].Stats || runs[0].Status != runs[1].Status || checks[0] != checks[1] {
+				t.Fatalf("seed %d %+v: eager %v %+v (%d checks), lazy %v %+v (%d checks)", seed, opts,
+					runs[0].Status, runs[0].Stats, checks[0], runs[1].Status, runs[1].Stats, checks[1])
+			}
+			if runs[0].Status == Solved {
+				for b, off := range runs[0].Solution.Offsets {
+					if runs[1].Solution.Offsets[b] != off {
+						t.Fatalf("seed %d: offsets differ at buffer %d", seed, b)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -236,7 +321,7 @@ func TestConflictSurfacedToDecisionPoint(t *testing.T) {
 	p.Normalize()
 	var sawConflict bool
 	policy := funcPolicy{
-		cands: func(st *State) []int { return idOrderPolicy{}.Candidates(st) },
+		cands: idOrderPolicy{}.Candidates,
 		place: func(st *State, buf int) (int64, bool) { return st.Model.LowestFeasible(buf) },
 		back: func(st *State, dp *DecisionPoint) (int, bool) {
 			if dp.LastConflict != nil {
@@ -250,12 +335,12 @@ func TestConflictSurfacedToDecisionPoint(t *testing.T) {
 }
 
 type funcPolicy struct {
-	cands func(*State) []int
+	cands func(*State) ([]int, []int)
 	place func(*State, int) (int64, bool)
 	back  func(*State, *DecisionPoint) (int, bool)
 }
 
-func (f funcPolicy) Candidates(st *State) []int               { return f.cands(st) }
+func (f funcPolicy) Candidates(st *State) ([]int, []int)      { return f.cands(st) }
 func (f funcPolicy) Placement(st *State, b int) (int64, bool) { return f.place(st, b) }
 func (f funcPolicy) BacktrackTarget(st *State, dp *DecisionPoint) (int, bool) {
 	return f.back(st, dp)
