@@ -127,6 +127,8 @@ overloadsoak:
 ## schema's untrusted-line parsing (FuzzWire) must never panic and must
 ## re-encode to a fixed point. FuzzSearchEquivalence checks the incremental
 ## candidate generation against its eager oracle: identical search trees.
+## FuzzPropagationEquivalence checks the gated CP wake against the reference
+## wake-every-pair engine: identical bounds, orders, conflicts and Stats.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAllocate -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzPipeline -fuzztime=10s .
@@ -134,6 +136,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWire -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzCheck -fuzztime=10s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzSearchEquivalence -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzPropagationEquivalence -fuzztime=10s ./internal/cp
 
 ## diffsoak: the differential verification soak under the race detector —
 ## a client fleet and a bare Allocator solve the same seeded adversarial

@@ -27,24 +27,37 @@ func (m *Model) explainPair(pr Pair) *Conflict {
 	return c
 }
 
+// reasonWalk is collect's reusable state: seen[v] == epoch marks v visited
+// in the current walk, and frontier is its breadth-first queue.
+type reasonWalk struct {
+	seen     []uint32
+	frontier []int32
+	epoch    uint32
+}
+
 // collect gathers the IDs of placed buffers reachable through the reason
-// chains of the seed variables, breadth-first and deduplicated.
+// chains of the seed variables, breadth-first and deduplicated. The visited
+// set is an epoch stamp per variable and the frontier a slice kept on the
+// model, so a walk allocates only its result.
 func (m *Model) collect(seeds ...int32) []int {
-	visited := make(map[int32]bool, 16)
-	var frontier []int32
-	push := func(v int32) {
-		if v >= 0 && !visited[v] {
-			visited[v] = true
-			frontier = append(frontier, v)
-		}
+	w := m.walk
+	if w == nil {
+		w = &reasonWalk{seen: make([]uint32, len(m.placed))}
+		m.walk = w
 	}
+	w.epoch++
+	if w.epoch == 0 {
+		clear(w.seen)
+		w.epoch = 1
+	}
+	w.frontier = w.frontier[:0]
 	for _, s := range seeds {
-		push(s)
+		w.visit(s)
 	}
 	var placements []int
 	budget := explainBudget
-	for i := 0; i < len(frontier) && budget > 0; i++ {
-		v := frontier[i]
+	for i := 0; i < len(w.frontier) && budget > 0; i++ {
+		v := w.frontier[i]
 		if m.placed[v] {
 			placements = append(placements, int(v))
 			// A placed buffer's position is a decision; its own reasons are
@@ -52,13 +65,22 @@ func (m *Model) collect(seeds ...int32) []int {
 			continue
 		}
 		for node := m.minReason[v]; node != nil && budget > 0; node = node.prev {
-			push(node.by)
+			w.visit(node.by)
 			budget--
 		}
 		for node := m.maxReason[v]; node != nil && budget > 0; node = node.prev {
-			push(node.by)
+			w.visit(node.by)
 			budget--
 		}
 	}
 	return placements
+}
+
+// visit appends v to the frontier unless it is a decision marker (-1) or
+// already visited in this walk.
+func (w *reasonWalk) visit(v int32) {
+	if v >= 0 && w.seen[v] != w.epoch {
+		w.seen[v] = w.epoch
+		w.frontier = append(w.frontier, v)
+	}
 }

@@ -17,11 +17,15 @@
 //
 // State is managed with a trail so that decisions can be pushed and popped
 // in O(changes), which is what makes heuristic-driven backtracking search
-// cheap.
+// cheap. Propagation wakes only the pairs a bound change can tighten (see
+// wakeMin and wakeMax), so a bound change costs O(pairs it affects), not
+// O(degree).
 package cp
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/intervals"
@@ -126,9 +130,25 @@ type Model struct {
 	// see PlacementsUndone.
 	undone uint64
 
-	pairs   []Pair
-	order   []Order
-	pairsOf [][]int32
+	pairs []Pair
+	order []Order
+	// adj lists each variable's pairs (pairsOf) from gate[v].off, in the
+	// order of ov.Neighbors[v]: slot j of v holds the pair with
+	// ov.Neighbors[v][j]. slot[2k] and slot[2k+1] are pair k's slots at its
+	// A and B.
+	adj  []int32
+	slot []int32
+
+	// lowBits and upBits are per-variable bitmasks over v's slots, from
+	// word gate[v].word: a lowBits bit marks a pair ordered with v below
+	// its neighbour, an upBits bit one ordered with v above. A slot with
+	// neither bit is Unknown.
+	lowBits, upBits []uint64
+	gate            []varGate
+
+	// rootConflict is the conflict the root fixpoint ran into, if any;
+	// Place and FixOrder return it.
+	rootConflict *Conflict
 
 	trail  []trailEntry
 	levels []int
@@ -145,42 +165,90 @@ type Model struct {
 
 	// scratch buffers reused by queries
 	occScratch []intervals.Interval
+	// walk is collect's reusable state, made on the first conflict.
+	walk *reasonWalk
 }
 
-// NewModel builds the CP model for p. The overlap adjacency may be nil, in
-// which case it is computed. NewModel is O(n + pairs).
+// varGate holds the per-variable facts that let a wake skip v's Unknown
+// pairs wholesale. Every posMin starts at 0 (AlignUp(0)); rootMax is where
+// posMax starts.
+type varGate struct {
+	rootMax int64
+	// thrMax is the smallest rootMax among v's neighbours and thrEnd the
+	// largest root end (0 + size) among them.
+	thrMax, thrEnd int64
+	// cntMinT and cntMaxT count v's Unknown neighbours whose posMin /
+	// posMax has moved off its root value.
+	cntMinT, cntMaxT int32
+	// off and word are v's first slot in adj and first bitmask word.
+	off, word int32
+}
+
+// NewModel builds the CP model for p and propagates it to the root
+// fixpoint. The overlap adjacency may be nil, in which case it is computed.
+// NewModel is O(n + pairs).
 func NewModel(p *buffers.Problem, ov *buffers.Overlaps) *Model {
 	if ov == nil {
 		ov = buffers.ComputeOverlaps(p)
 	}
 	n := len(p.Buffers)
+	bounds := make([]int64, 2*n)
+	reasons := make([]*reasonNode, 2*n)
 	m := &Model{
 		prob:      p,
 		ov:        ov,
-		posMin:    make([]int64, n),
-		posMax:    make([]int64, n),
-		minReason: make([]*reasonNode, n),
-		maxReason: make([]*reasonNode, n),
+		posMin:    bounds[:n:n],
+		posMax:    bounds[n:],
+		minReason: reasons[:n:n],
+		maxReason: reasons[n:],
 		placed:    make([]bool, n),
-		pairsOf:   make([][]int32, n),
+		gate:      make([]varGate, n),
 	}
+	var slots, words int32
 	for i, b := range p.Buffers {
 		m.posMin[i] = b.AlignUp(0)
 		m.posMax[i] = alignDown(p.Memory-b.Size, b.Align)
+		d := int32(len(ov.Neighbors[i]))
+		m.gate[i] = varGate{rootMax: m.posMax[i], off: slots, word: words}
+		slots += d
+		words += (d + 63) / 64
 	}
+	m.pairs = make([]Pair, 0, slots/2)
+	idx := make([]int32, 2*slots)
+	m.adj, m.slot = idx[:slots:slots], idx[slots:]
+	masks := make([]uint64, 2*words)
+	m.lowBits, m.upBits = masks[:words:words], masks[words:]
+	// Neighbour lists are sorted, so a variable's pairs with lower IDs fill
+	// its first slots in the order their lower endpoints are visited here;
+	// until a variable's own turn its cntMinT counts those filled slots.
 	for a := 0; a < n; a++ {
-		for _, bID := range ov.Neighbors[a] {
+		g := &m.gate[a]
+		g.thrMax, g.thrEnd, g.cntMinT = math.MaxInt64, math.MinInt64, 0
+		for j, bID := range ov.Neighbors[a] {
+			g.thrMax = min(g.thrMax, m.gate[bID].rootMax)
+			g.thrEnd = max(g.thrEnd, m.posMin[bID]+p.Buffers[bID].Size)
 			if bID <= a {
 				continue
 			}
-			idx := int32(len(m.pairs))
+			k := int32(len(m.pairs))
 			m.pairs = append(m.pairs, Pair{int32(a), int32(bID)})
-			m.pairsOf[a] = append(m.pairsOf[a], idx)
-			m.pairsOf[bID] = append(m.pairsOf[bID], idx)
+			hb := &m.gate[bID]
+			sb := hb.cntMinT
+			hb.cntMinT++
+			m.adj[g.off+int32(j)] = k
+			m.adj[hb.off+sb] = k
+			m.slot[2*k], m.slot[2*k+1] = int32(j), sb
 		}
 	}
 	m.order = make([]Order, len(m.pairs))
 	m.inQueue = make([]bool, len(m.pairs))
+	for k := range m.pairs {
+		if !m.idle(int32(k)) {
+			m.inQueue[k] = true
+			m.queue = append(m.queue, int32(k))
+		}
+	}
+	m.rootConflict = m.Propagate()
 	return m
 }
 
@@ -240,6 +308,8 @@ func (m *Model) Pop() {
 	}
 	mark := m.levels[len(m.levels)-1]
 	m.levels = m.levels[:len(m.levels)-1]
+	// Entries are undone newest first, so each sees the state right after
+	// it was made and can replay its counter transition in reverse.
 	for len(m.trail) > mark {
 		e := m.trail[len(m.trail)-1]
 		m.trail = m.trail[:len(m.trail)-1]
@@ -247,10 +317,17 @@ func (m *Model) Pop() {
 		case tMin:
 			m.posMin[e.idx] = e.old
 			m.minReason[e.idx] = e.oldReason
+			if e.old == 0 {
+				m.countUnknown(e.idx, -1, 0)
+			}
 		case tMax:
 			m.posMax[e.idx] = e.old
 			m.maxReason[e.idx] = e.oldReason
+			if e.old == m.gate[e.idx].rootMax {
+				m.countUnknown(e.idx, 0, -1)
+			}
 		case tOrder:
+			m.flipOrder(e.idx, m.order[e.idx], +1)
 			m.order[e.idx] = Order(e.old)
 		case tPlaced:
 			if e.old == 0 {
@@ -271,22 +348,34 @@ func (m *Model) clearQueue() {
 	m.queueHead = 0
 }
 
+// slots returns v's pairs in slot order (pairsOf) and the span [lo, hi)
+// of v's bitmask words.
+func (m *Model) slots(v int32) (ks []int32, lo, hi int32) {
+	g := &m.gate[v]
+	d := int32(len(m.ov.Neighbors[v]))
+	return m.adj[g.off : g.off+d], g.word, g.word + (d+63)/64
+}
+
 // setMin raises the lower bound of variable v to at least val (snapped up to
 // the alignment grid). by names the variable that caused the tightening (-1
 // for decisions). Returns false on domain wipeout.
 func (m *Model) setMin(v int32, val int64, by int32) bool {
 	val = m.prob.Buffers[v].AlignUp(val)
-	if val <= m.posMin[v] {
+	old := m.posMin[v]
+	if val <= old {
 		return true
 	}
-	m.trail = append(m.trail, trailEntry{tMin, v, m.posMin[v], m.minReason[v]})
+	m.trail = append(m.trail, trailEntry{tMin, v, old, m.minReason[v]})
 	m.posMin[v] = val
 	m.minReason[v] = &reasonNode{by: by, prev: m.minReason[v]}
 	m.stats.Propagations++
+	if old == 0 {
+		m.countUnknown(v, +1, 0)
+	}
 	if m.posMin[v] > m.posMax[v] {
 		return false
 	}
-	m.wake(v)
+	m.wakeMin(v)
 	return true
 }
 
@@ -294,32 +383,142 @@ func (m *Model) setMin(v int32, val int64, by int32) bool {
 // to the alignment grid). Returns false on domain wipeout.
 func (m *Model) setMax(v int32, val int64, by int32) bool {
 	val = alignDown(val, m.prob.Buffers[v].Align)
-	if val >= m.posMax[v] {
+	old := m.posMax[v]
+	if val >= old {
 		return true
 	}
-	m.trail = append(m.trail, trailEntry{tMax, v, m.posMax[v], m.maxReason[v]})
+	m.trail = append(m.trail, trailEntry{tMax, v, old, m.maxReason[v]})
 	m.posMax[v] = val
 	m.maxReason[v] = &reasonNode{by: by, prev: m.maxReason[v]}
 	m.stats.Propagations++
+	if old == m.gate[v].rootMax {
+		m.countUnknown(v, 0, +1)
+	}
 	if m.posMin[v] > m.posMax[v] {
 		return false
 	}
-	m.wake(v)
+	m.wakeMax(v)
 	return true
 }
 
 func (m *Model) setOrder(k int32, o Order) {
 	m.trail = append(m.trail, trailEntry{tOrder, k, int64(m.order[k]), nil})
+	m.flipOrder(k, o, -1)
 	m.order[k] = o
 	m.stats.OrderFixes++
 }
 
-// wake enqueues all pairs touching variable v for (re-)propagation.
-func (m *Model) wake(v int32) {
-	for _, k := range m.pairsOf[v] {
-		if !m.inQueue[k] {
-			m.inQueue[k] = true
-			m.queue = append(m.queue, k)
+// flipOrder moves pair k between Unknown and ordering o: it toggles k's
+// direction bits, and for each endpoint adds d to its counters for every
+// bound of the other endpoint that is off its root value (d = -1 as k
+// leaves Unknown, +1 as it returns).
+func (m *Model) flipOrder(k int32, o Order, d int32) {
+	pr := m.pairs[k]
+	lo, hi := pr.A, pr.B
+	slo, shi := m.slot[2*k], m.slot[2*k+1]
+	if o == BFirst {
+		lo, hi, slo, shi = hi, lo, shi, slo
+	}
+	m.lowBits[m.gate[lo].word+slo>>6] ^= 1 << (slo & 63)
+	m.upBits[m.gate[hi].word+shi>>6] ^= 1 << (shi & 63)
+	m.countMoved(pr.A, pr.B, d)
+	m.countMoved(pr.B, pr.A, d)
+}
+
+// countMoved adds d to w's counters for each bound of v that is off its
+// root value.
+func (m *Model) countMoved(v, w int32, d int32) {
+	if m.posMin[v] != 0 {
+		m.gate[w].cntMinT += d
+	}
+	if m.posMax[v] != m.gate[v].rootMax {
+		m.gate[w].cntMaxT += d
+	}
+}
+
+// countUnknown adds dMin and dMax to the counters of v's Unknown
+// neighbours; it runs when a bound of v leaves or regains its root value.
+func (m *Model) countUnknown(v int32, dMin, dMax int32) {
+	nb := m.ov.Neighbors[v]
+	_, lo, hi := m.slots(v)
+	for w := lo; w < hi; w++ {
+		word := ^(m.lowBits[w] | m.upBits[w])
+		if w == hi-1 {
+			word &= tailMask(len(nb))
+		}
+		base := int(w-lo) << 6
+		for ; word != 0; word &= word - 1 {
+			g := &m.gate[nb[base+bits.TrailingZeros64(word)]]
+			g.cntMinT += dMin
+			g.cntMaxT += dMax
+		}
+	}
+}
+
+// tailMask masks the valid slots of the last bitmask word of a variable
+// with n pairs.
+func tailMask(n int) uint64 {
+	if n&63 == 0 {
+		return math.MaxUint64
+	}
+	return 1<<(n&63) - 1
+}
+
+// idle reports whether propagatePair(k) would change nothing under the
+// current bounds. Bounds sit on their alignment grids, so no snapping is
+// needed. Outside setMin/setMax every pair that is not queued is idle.
+func (m *Model) idle(k int32) bool {
+	pr := m.pairs[k]
+	a, b := pr.A, pr.B
+	sa := m.prob.Buffers[a].Size
+	switch m.order[k] {
+	case AFirst:
+		return m.posMin[a]+sa <= m.posMin[b] && m.posMax[b]-sa >= m.posMax[a]
+	case BFirst:
+		sb := m.prob.Buffers[b].Size
+		return m.posMin[b]+sb <= m.posMin[a] && m.posMax[a]-sb >= m.posMax[b]
+	default:
+		sb := m.prob.Buffers[b].Size
+		return m.posMin[a]+sa <= m.posMax[b] && m.posMin[b]+sb <= m.posMax[a]
+	}
+}
+
+// wakeMin enqueues the pairs a raised posMin[v] can have made non-idle:
+// those ordered with v below, and Unknown ones whose neighbour's posMax now
+// lies below posMin[v]+size. The Unknown scan is skipped when no Unknown
+// neighbour's posMax has left its root value and none of those root values
+// lies below posMin[v]+size.
+func (m *Model) wakeMin(v int32) {
+	g := &m.gate[v]
+	m.scan(v, m.lowBits, g.cntMaxT != 0 || m.posMin[v]+m.prob.Buffers[v].Size > g.thrMax)
+}
+
+// wakeMax mirrors wakeMin for a lowered posMax[v].
+func (m *Model) wakeMax(v int32) {
+	g := &m.gate[v]
+	m.scan(v, m.upBits, g.cntMinT != 0 || m.posMax[v] < g.thrEnd)
+}
+
+// scan enqueues, in slot order, every pair of v marked in dir (plus every
+// Unknown pair when unknown is set) that is neither queued nor idle.
+func (m *Model) scan(v int32, dir []uint64, unknown bool) {
+	ks, lo, hi := m.slots(v)
+	for w := lo; w < hi; w++ {
+		word := dir[w]
+		if unknown {
+			u := ^(m.lowBits[w] | m.upBits[w])
+			if w == hi-1 {
+				u &= tailMask(len(ks))
+			}
+			word |= u
+		}
+		base := int(w-lo) << 6
+		for ; word != 0; word &= word - 1 {
+			k := ks[base+bits.TrailingZeros64(word)]
+			if !m.inQueue[k] && !m.idle(k) {
+				m.inQueue[k] = true
+				m.queue = append(m.queue, k)
+			}
 		}
 	}
 }
@@ -328,8 +527,12 @@ func (m *Model) wake(v int32) {
 // and propagates to fixpoint. It returns a Conflict if propagation detects
 // unsatisfiability (the caller is then expected to Pop). Place does not
 // validate that pos itself is inside the current bounds of buf; a violation
-// simply surfaces as an immediate conflict.
+// simply surfaces as an immediate conflict. On a model whose root fixpoint
+// conflicted, Place returns that conflict and changes nothing.
 func (m *Model) Place(buf int, pos int64) *Conflict {
+	if m.rootConflict != nil {
+		return m.rootConflict
+	}
 	v := int32(buf)
 	var was int64
 	if m.placed[buf] {
@@ -357,13 +560,15 @@ func (m *Model) Place(buf int, pos int64) *Conflict {
 }
 
 // Propagate runs the pair propagators to fixpoint. On success it returns
-// nil; otherwise the conflict explanation.
+// nil; otherwise the conflict explanation. A pair stays marked queued while
+// it propagates, so its own bound changes do not re-enqueue it.
 func (m *Model) Propagate() *Conflict {
 	for m.queueHead < len(m.queue) {
 		k := m.queue[m.queueHead]
 		m.queueHead++
+		c := m.propagatePair(k)
 		m.inQueue[k] = false
-		if c := m.propagatePair(k); c != nil {
+		if c != nil {
 			m.stats.Conflicts++
 			m.clearQueue()
 			return c
@@ -414,8 +619,12 @@ func (m *Model) propagatePair(k int32) *Conflict {
 }
 
 // FixOrder commits the ordering of pair k by decision and propagates. Used
-// by the pure-CP baseline searcher.
+// by the pure-CP baseline searcher. On a model whose root fixpoint
+// conflicted, FixOrder returns that conflict and changes nothing.
 func (m *Model) FixOrder(k int, o Order) *Conflict {
+	if m.rootConflict != nil {
+		return m.rootConflict
+	}
 	if m.order[k] != Unknown {
 		if m.order[k] == o {
 			return nil
@@ -425,7 +634,10 @@ func (m *Model) FixOrder(k int, o Order) *Conflict {
 		return m.explainPair(m.pairs[k])
 	}
 	m.setOrder(int32(k), o)
-	if c := m.propagatePair(int32(k)); c != nil {
+	m.inQueue[k] = true
+	c := m.propagatePair(int32(k))
+	m.inQueue[k] = false
+	if c != nil {
 		m.stats.Conflicts++
 		m.clearQueue()
 		return c
