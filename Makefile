@@ -129,6 +129,8 @@ overloadsoak:
 ## candidate generation against its eager oracle: identical search trees.
 ## FuzzPropagationEquivalence checks the gated CP wake against the reference
 ## wake-every-pair engine: identical bounds, orders, conflicts and Stats.
+## FuzzSweepEquivalence checks the six buffers.Sweep-based live-range
+## algorithms against the hand-rolled walks they replaced.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAllocate -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzPipeline -fuzztime=10s .
@@ -137,6 +139,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheck -fuzztime=10s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzSearchEquivalence -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPropagationEquivalence -fuzztime=10s ./internal/cp
+	$(GO) test -run='^$$' -fuzz=FuzzSweepEquivalence -fuzztime=10s ./internal/buffers
 
 ## diffsoak: the differential verification soak under the race detector —
 ## a client fleet and a bare Allocator solve the same seeded adversarial

@@ -10,7 +10,6 @@ package buffers
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Buffer describes one tensor buffer that must be placed in on-chip memory.
@@ -154,6 +153,18 @@ func (p *Problem) Clone() *Problem {
 	return q
 }
 
+// Subset returns the buffers with the given indices, in that order, as a
+// normalized problem with p's memory and name. ids is also the map from the
+// subset's buffer IDs back to p's.
+func (p *Problem) Subset(ids []int) *Problem {
+	q := &Problem{Memory: p.Memory, Name: p.Name, Buffers: make([]Buffer, len(ids))}
+	for k, id := range ids {
+		q.Buffers[k] = p.Buffers[id]
+	}
+	q.Normalize()
+	return q
+}
+
 // TimeHorizon returns the exclusive maximum End across all buffers (and the
 // minimum Start), i.e. the logical time window covered by the problem.
 func (p *Problem) TimeHorizon() (minStart, maxEnd int64) {
@@ -220,8 +231,8 @@ var (
 
 // Validate checks that the solution is a correct packing for p: every buffer
 // assigned, in bounds, aligned, and spatially disjoint from every temporally
-// overlapping buffer. It runs a sweep line and is O(n log n + k) where k is
-// the number of temporally overlapping pairs in conflict-prone regions.
+// overlapping buffer. It runs one Sweep and is O(n log n + k) where k is
+// the number of temporally overlapping pairs.
 func (s *Solution) Validate(p *Problem) error {
 	if len(s.Offsets) != len(p.Buffers) {
 		return fmt.Errorf("%w: got %d offsets for %d buffers", ErrWrongBuffers, len(s.Offsets), len(p.Buffers))
@@ -237,44 +248,22 @@ func (s *Solution) Validate(p *Problem) error {
 			return fmt.Errorf("%w: %v at %d", ErrMisaligned, b, off)
 		}
 	}
-	// Sweep over time: maintain the set of live buffers ordered by address
-	// and check spatial disjointness pairwise on insertion.
-	type event struct {
-		t     int64
-		add   bool
-		index int
-	}
-	events := make([]event, 0, 2*len(p.Buffers))
-	for i, b := range p.Buffers {
-		events = append(events, event{b.Start, true, i}, event{b.End, false, i})
-	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].t != events[b].t {
-			return events[a].t < events[b].t
+	// Check each buffer against the buffers live at its start.
+	var err error
+	Sweep(p, func(_ int64, id int, start bool, live []int) {
+		if !start || err != nil {
+			return
 		}
-		// Process removals before additions at the same timestamp: End is
-		// exclusive, so a buffer ending at t does not conflict with one
-		// starting at t.
-		return !events[a].add && events[b].add
-	})
-	live := make(map[int]struct{})
-	for _, ev := range events {
-		if !ev.add {
-			delete(live, ev.index)
-			continue
-		}
-		nb := p.Buffers[ev.index]
-		noff := s.Offsets[ev.index]
-		for j := range live {
-			ob := p.Buffers[j]
-			ooff := s.Offsets[j]
+		nb, noff := p.Buffers[id], s.Offsets[id]
+		for _, j := range live {
+			ob, ooff := p.Buffers[j], s.Offsets[j]
 			if noff < ooff+ob.Size && ooff < noff+nb.Size {
-				return fmt.Errorf("%w: %v at %d and %v at %d", ErrOverlap, nb, noff, ob, ooff)
+				err = fmt.Errorf("%w: %v at %d and %v at %d", ErrOverlap, nb, noff, ob, ooff)
+				return
 			}
 		}
-		live[ev.index] = struct{}{}
-	}
-	return nil
+	})
+	return err
 }
 
 // Assigned reports how many buffers have a non-negative offset.

@@ -133,6 +133,30 @@ func TestNormalizeAndClone(t *testing.T) {
 	}
 }
 
+func TestSubset(t *testing.T) {
+	p := &Problem{Memory: 8, Name: "orig"}
+	for i := int64(0); i < 4; i++ {
+		p.Buffers = append(p.Buffers, Buffer{Start: i, End: i + 1, Size: i + 1})
+	}
+	p.Normalize()
+	sub := p.Subset([]int{2, 0})
+	if sub.Name != "orig" || sub.Memory != 8 {
+		t.Errorf("metadata lost: %+v", sub)
+	}
+	if len(sub.Buffers) != 2 || sub.Buffers[0].Size != 3 || sub.Buffers[1].Size != 1 {
+		t.Errorf("wrong buffers: %+v", sub.Buffers)
+	}
+	if sub.Buffers[0].ID != 0 || sub.Buffers[1].ID != 1 {
+		t.Error("subset not normalized")
+	}
+	if p.Buffers[2].ID != 2 {
+		t.Error("Subset renumbered the original problem")
+	}
+	if empty := p.Subset(nil); len(empty.Buffers) != 0 || empty.Memory != 8 {
+		t.Errorf("empty subset wrong: %+v", empty)
+	}
+}
+
 func TestTimeHorizonAndTotalBytes(t *testing.T) {
 	p := &Problem{Buffers: []Buffer{
 		{Start: 5, End: 9, Size: 3},

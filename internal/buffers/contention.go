@@ -17,36 +17,23 @@ type ContentionProfile struct {
 	Steps []ContentionStep
 }
 
-// Contention computes the contention profile of the problem with a sweep
-// line over start/end events. O(n log n).
+// Contention computes the contention profile of the problem with one
+// Sweep. O(n log n).
 func Contention(p *Problem) ContentionProfile {
-	if len(p.Buffers) == 0 {
-		return ContentionProfile{}
-	}
-	type delta struct {
-		t int64
-		d int64
-	}
-	deltas := make([]delta, 0, 2*len(p.Buffers))
-	for _, b := range p.Buffers {
-		deltas = append(deltas, delta{b.Start, b.Size}, delta{b.End, -b.Size})
-	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].t < deltas[j].t })
-
 	var profile ContentionProfile
 	var cur int64
-	prevT := deltas[0].t
-	for i := 0; i < len(deltas); {
-		t := deltas[i].t
+	prevT, _ := p.TimeHorizon()
+	Sweep(p, func(t int64, id int, start bool, _ []int) {
 		if t != prevT {
 			profile.Steps = append(profile.Steps, ContentionStep{prevT, t, cur})
 			prevT = t
 		}
-		for i < len(deltas) && deltas[i].t == t {
-			cur += deltas[i].d
-			i++
+		if start {
+			cur += p.Buffers[id].Size
+		} else {
+			cur -= p.Buffers[id].Size
 		}
-	}
+	})
 	return profile
 }
 

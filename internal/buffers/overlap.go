@@ -15,51 +15,24 @@ type Overlaps struct {
 	PairCount int
 }
 
-// ComputeOverlaps builds the overlap adjacency with a sweep line. The output
-// size is Θ(number of overlapping pairs), which is quadratic for fully
-// overlapping inputs — the same scaling limit the paper reports in Table 1.
+// ComputeOverlaps builds the overlap adjacency with one Sweep: each start
+// event pairs the new buffer with the live set. The output size is
+// Θ(number of overlapping pairs), which is quadratic for fully overlapping
+// inputs — the same scaling limit the paper reports in Table 1.
 func ComputeOverlaps(p *Problem) *Overlaps {
-	n := len(p.Buffers)
-	ov := &Overlaps{Neighbors: make([][]int, n)}
-	if n == 0 {
-		return ov
-	}
-	type event struct {
-		t     int64
-		add   bool
-		index int
-	}
-	events := make([]event, 0, 2*n)
-	for i, b := range p.Buffers {
-		events = append(events, event{b.Start, true, i}, event{b.End, false, i})
-	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].t != events[b].t {
-			return events[a].t < events[b].t
+	ov := &Overlaps{Neighbors: make([][]int, len(p.Buffers))}
+	Sweep(p, func(_ int64, id int, start bool, live []int) {
+		if !start {
+			return
 		}
-		return !events[a].add && events[b].add // process ends first (End exclusive)
+		for _, j := range live {
+			ov.Neighbors[j] = append(ov.Neighbors[j], id)
+			ov.Neighbors[id] = append(ov.Neighbors[id], j)
+		}
+		ov.PairCount += len(live)
 	})
-	live := make([]int, 0, n)
-	for _, ev := range events {
-		if !ev.add {
-			for k, id := range live {
-				if id == ev.index {
-					live[k] = live[len(live)-1]
-					live = live[:len(live)-1]
-					break
-				}
-			}
-			continue
-		}
-		for _, id := range live {
-			ov.Neighbors[id] = append(ov.Neighbors[id], ev.index)
-			ov.Neighbors[ev.index] = append(ov.Neighbors[ev.index], id)
-			ov.PairCount++
-		}
-		live = append(live, ev.index)
-	}
-	for i := range ov.Neighbors {
-		sort.Ints(ov.Neighbors[i])
+	for _, ns := range ov.Neighbors {
+		sort.Ints(ns)
 	}
 	return ov
 }

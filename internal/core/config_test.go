@@ -30,32 +30,6 @@ func TestDeadlineStopsSearch(t *testing.T) {
 	}
 }
 
-func TestSubProblemMapping(t *testing.T) {
-	p := &buffers.Problem{Memory: 8, Name: "orig"}
-	for i := int64(0); i < 4; i++ {
-		p.Buffers = append(p.Buffers, buffers.Buffer{Start: i, End: i + 1, Size: int64(i) + 1})
-	}
-	p.Normalize()
-	sub, back := subProblem(p, []int{2, 0})
-	if sub.Name != "orig" || sub.Memory != 8 {
-		t.Errorf("metadata lost: %+v", sub)
-	}
-	if len(sub.Buffers) != 2 || sub.Buffers[0].Size != 3 || sub.Buffers[1].Size != 1 {
-		t.Errorf("wrong buffers: %+v", sub.Buffers)
-	}
-	if sub.Buffers[0].ID != 0 || sub.Buffers[1].ID != 1 {
-		t.Error("sub-problem not normalized")
-	}
-	if back[0] != 2 || back[1] != 0 {
-		t.Errorf("back-mapping wrong: %v", back)
-	}
-	// nil ids = identity.
-	all, back2 := subProblem(p, nil)
-	if len(all.Buffers) != 4 || back2[3] != 3 {
-		t.Errorf("identity mapping wrong: %v", back2)
-	}
-}
-
 func TestAccumulateStats(t *testing.T) {
 	var dst telamon.Stats
 	accumulate(&dst, telamon.Stats{Steps: 5, Placements: 3, MinorBacktracks: 2, MajorBacktracks: 1, MaxDepth: 7})

@@ -52,9 +52,8 @@ type GroupReport struct {
 // groupRun carries one group's solve state across the two scheduling
 // phases.
 type groupRun struct {
-	nbuf    int
+	ids     []int // the group's buffer IDs, also its sub's back-map
 	sub     *buffers.Problem
-	back    []int
 	share   int64
 	res     telamon.Result
 	err     error // attributed panic when res.Status is telamon.Internal
@@ -119,7 +118,7 @@ func lowerFailed(failed *atomic.Int64, i int) {
 // and merges the results deterministically. The contract, at every
 // parallelism level:
 //
-//   - offsets are written back through each group's back mapping, so a
+//   - offsets are written back through each group's ID list, so a
 //     fully solved problem yields byte-identical Solution.Offsets;
 //   - per-group stats are accumulated in group order;
 //   - the first non-Solved group by group index — not by wall-clock race
@@ -157,14 +156,14 @@ func solveGroups(p *buffers.Problem, cfg Config, groups [][]int) Result {
 			}
 		}()
 		r.share = shares[i]
-		r.nbuf = len(groups[i])
+		r.ids = groups[i]
 		if failed.Load() < int64(i) || (cfg.Cancel != nil && cfg.Cancel()) {
 			// A lower group already failed for real: this group's result
 			// cannot influence the outcome, so skip the search entirely.
 			r.res = telamon.Result{Status: telamon.Cancelled}
 			return
 		}
-		r.sub, r.back = subProblem(p, groups[i])
+		r.sub = p.Subset(r.ids)
 		cancel := func() bool {
 			return failed.Load() < int64(i) || (cfg.Cancel != nil && cfg.Cancel())
 		}
@@ -249,7 +248,7 @@ func mergeGroups(p *buffers.Problem, cfg Config, runs []groupRun) Result {
 		}
 		accumulate(&out.Stats, r.res.Stats)
 		out.Groups[i] = GroupReport{
-			Buffers: r.nbuf,
+			Buffers: len(r.ids),
 			Status:  r.res.Status,
 			Steps:   r.res.Stats.Steps,
 			Elapsed: r.elapsed,
@@ -267,7 +266,7 @@ func mergeGroups(p *buffers.Problem, cfg Config, runs []groupRun) Result {
 			// them zero-valued would read as "0 buffers, solved".
 			for j := i + 1; j < len(runs); j++ {
 				out.Groups[j] = GroupReport{
-					Buffers: runs[j].nbuf,
+					Buffers: len(runs[j].ids),
 					Status:  runs[j].res.Status,
 					Steps:   runs[j].res.Stats.Steps,
 					Elapsed: runs[j].elapsed,
@@ -276,7 +275,7 @@ func mergeGroups(p *buffers.Problem, cfg Config, runs []groupRun) Result {
 			return out
 		}
 		for subID, off := range r.res.Solution.Offsets {
-			out.Solution.Offsets[r.back[subID]] = off
+			out.Solution.Offsets[r.ids[subID]] = off
 		}
 	}
 	return out

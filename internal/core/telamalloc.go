@@ -226,26 +226,6 @@ func (a Allocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*bu
 
 var _ heuristics.Allocator = Allocator{}
 
-// subProblem extracts the buffers with the given IDs into a normalized
-// problem, returning the mapping from new IDs back to original ones. A nil
-// ids takes every buffer.
-func subProblem(p *buffers.Problem, ids []int) (*buffers.Problem, []int) {
-	if ids == nil {
-		ids = make([]int, len(p.Buffers))
-		for i := range ids {
-			ids[i] = i
-		}
-	}
-	sub := &buffers.Problem{Memory: p.Memory, Name: p.Name}
-	back := make([]int, len(ids))
-	for newID, oldID := range ids {
-		sub.Buffers = append(sub.Buffers, p.Buffers[oldID])
-		back[newID] = oldID
-	}
-	sub.Normalize()
-	return sub, back
-}
-
 // solveComponent searches one independent subproblem. maxSteps is the
 // group's allotment from the shared pot (0 = unlimited), cancel the
 // cooperative-cancellation hook (nil = never), and point the stable label

@@ -57,33 +57,23 @@ func (BestFit) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
 // returns the packing together with its peak usage. Figure 3 plots this
 // peak against the limit to show when best-fit fails.
 func BestFitUnbounded(p *buffers.Problem) (*buffers.Solution, int64) {
-	n := len(p.Buffers)
-	sol := buffers.NewSolution(n)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		bi, bj := p.Buffers[order[i]], p.Buffers[order[j]]
-		if bi.Start != bj.Start {
-			return bi.Start < bj.Start
-		}
-		return order[i] < order[j]
-	})
+	sol := buffers.NewSolution(len(p.Buffers))
 	const unbounded = int64(1) << 62
 	var peak int64
-	occ := make([]intervals.Interval, 0, n)
-	for _, id := range order {
-		b := p.Buffers[id]
-		// Live set: already-placed buffers whose range contains b.Start.
-		occ = occ[:0]
-		for j, o := range p.Buffers {
-			if sol.Offsets[j] >= 0 && o.Start <= b.Start && b.Start < o.End {
-				occ = append(occ, intervals.Interval{Lo: sol.Offsets[j], Hi: sol.Offsets[j] + o.Size})
-			}
+	var occ []intervals.Interval
+	buffers.Sweep(p, func(_ int64, id int, start bool, live []int) {
+		if !start {
+			return
 		}
-		merged := intervals.SortAndMerge(occ)
-		pos, ok := intervals.BestFit(merged, b.Size, b.Align, unbounded)
+		// The live set holds exactly the placed buffers whose range
+		// contains b.Start.
+		b := p.Buffers[id]
+		occ = occ[:0]
+		for _, j := range live {
+			occ = append(occ, intervals.Interval{Lo: sol.Offsets[j], Hi: sol.Offsets[j] + p.Buffers[j].Size})
+		}
+		occ = intervals.SortAndMerge(occ)
+		pos, ok := intervals.BestFit(occ, b.Size, b.Align, unbounded)
 		if !ok {
 			pos = 0 // cannot happen with an unbounded limit, but stay safe
 		}
@@ -91,8 +81,7 @@ func BestFitUnbounded(p *buffers.Problem) (*buffers.Solution, int64) {
 		if pos+b.Size > peak {
 			peak = pos + b.Size
 		}
-		occ = merged
-	}
+	})
 	return sol, peak
 }
 
@@ -193,46 +182,20 @@ func MinMemory(pack UnboundedFunc, p *buffers.Problem) int64 {
 // address in use over time for a given packing — the quantity Figure 3
 // plots for each allocator. Steps are emitted in time order.
 func UsageProfile(p *buffers.Problem, sol *buffers.Solution) []buffers.ContentionStep {
-	type event struct {
-		t     int64
-		add   bool
-		index int
-	}
-	events := make([]event, 0, 2*len(p.Buffers))
-	for i, b := range p.Buffers {
-		events = append(events, event{b.Start, true, i}, event{b.End, false, i})
-	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].t != events[b].t {
-			return events[a].t < events[b].t
-		}
-		return !events[a].add && events[b].add
-	})
-	live := map[int]struct{}{}
 	var steps []buffers.ContentionStep
-	var prevT int64
-	first := true
-	for i := 0; i < len(events); {
-		t := events[i].t
-		if !first && t != prevT {
-			var top int64
-			for id := range live {
-				if end := sol.Offsets[id] + p.Buffers[id].Size; end > top {
-					top = end
-				}
-			}
-			steps = append(steps, buffers.ContentionStep{Start: prevT, End: t, Contention: top})
+	prevT, _ := p.TimeHorizon()
+	buffers.Sweep(p, func(t int64, _ int, _ bool, live []int) {
+		if t == prevT {
+			return
 		}
-		for i < len(events) && events[i].t == t {
-			if events[i].add {
-				live[events[i].index] = struct{}{}
-			} else {
-				delete(live, events[i].index)
+		var top int64
+		for _, id := range live {
+			if end := sol.Offsets[id] + p.Buffers[id].Size; end > top {
+				top = end
 			}
-			i++
 		}
+		steps = append(steps, buffers.ContentionStep{Start: prevT, End: t, Contention: top})
 		prevT = t
-		first = false
-	}
+	})
 	return steps
 }

@@ -279,7 +279,7 @@ func MinimizeMemory(p *buffers.Problem, ov *buffers.Overlaps, opts Options) (lim
 	probe := func(mem int64) *buffers.Solution {
 		q := p.Clone()
 		q.Memory = mem
-		res := Solve(q, nil, opts) // overlaps depend only on times; recompute is cheap relative to solve
+		res := Solve(q, ov, opts)
 		if res.Status == Solved {
 			return res.Solution
 		}

@@ -6,11 +6,7 @@
 // finish placing one phase before starting the next.
 package phases
 
-import (
-	"sort"
-
-	"telamalloc/internal/buffers"
-)
+import "telamalloc/internal/buffers"
 
 // Region is a half-open time range [Start, End).
 type Region struct {
@@ -124,37 +120,16 @@ func highContentionRanges(profile buffers.ContentionProfile, threshold int64) []
 // independently"). The returned slices hold buffer IDs per subproblem, in
 // time order. Problems with a single component return one group.
 func SplitIndependent(p *buffers.Problem) [][]int {
-	n := len(p.Buffers)
-	if n == 0 {
-		return nil
-	}
-	// Sort buffer IDs by start time; a cut exists wherever the running max
-	// End so far is <= the next buffer's Start.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		bi, bj := p.Buffers[order[i]], p.Buffers[order[j]]
-		if bi.Start != bj.Start {
-			return bi.Start < bj.Start
-		}
-		return order[i] < order[j]
-	})
+	// A cut exists wherever a buffer starts with nothing live.
 	var groups [][]int
-	cur := []int{order[0]}
-	maxEnd := p.Buffers[order[0]].End
-	for _, id := range order[1:] {
-		b := p.Buffers[id]
-		if b.Start >= maxEnd {
-			groups = append(groups, cur)
-			cur = nil
+	buffers.Sweep(p, func(_ int64, id int, start bool, live []int) {
+		if !start {
+			return
 		}
-		cur = append(cur, id)
-		if b.End > maxEnd {
-			maxEnd = b.End
+		if len(live) == 0 {
+			groups = append(groups, nil)
 		}
-	}
-	groups = append(groups, cur)
+		groups[len(groups)-1] = append(groups[len(groups)-1], id)
+	})
 	return groups
 }

@@ -324,7 +324,7 @@ func (s *Server) submit(ctx context.Context, req Request, t0 time.Time) (*Respon
 	if q.Validate() != nil {
 		// Fingerprints of invalid problems are meaningless; let the queue
 		// path produce the structured rejection.
-		return s.submitQueued(ctx, req, t0, cache.Fingerprint{}, nil)
+		return s.submitQueued(ctx, req, t0, cache.Fingerprint{})
 	}
 	fp, perm := cache.Canonicalize(q)
 
@@ -349,7 +349,7 @@ func (s *Server) submit(ctx context.Context, req Request, t0 time.Time) (*Respon
 	}
 
 	if s.cfg.DisableDedup {
-		return s.submitQueued(ctx, req, t0, fp, perm)
+		return s.submitQueued(ctx, req, t0, fp)
 	}
 	maxSteps := s.cfg.MaxSteps
 	if req.MaxSteps > 0 {
@@ -369,10 +369,10 @@ func (s *Server) submit(ctx context.Context, req Request, t0 time.Time) (*Respon
 	s.flights[flightKey] = f
 	s.flightMu.Unlock()
 
-	resp, err := s.submitQueued(ctx, req, t0, fp, perm)
-	if err == nil && resp != nil && resp.Outcome == OutcomeSolved {
-		f.entry = cache.Entry{Winner: resp.Winner, Offsets: cache.ToCanonical(resp.Offsets, perm)}
-		f.shareable = f.entry.Offsets != nil
+	resp, err := s.submitQueued(ctx, req, t0, fp)
+	if err == nil && resp != nil && resp.Outcome == OutcomeSolved && resp.Trace != nil {
+		f.entry = cache.Entry{Winner: resp.Winner, Offsets: resp.Trace.Offsets}
+		f.shareable = true
 	}
 	s.flightMu.Lock()
 	delete(s.flights, flightKey)
@@ -470,7 +470,7 @@ func (s *Server) awaitFlight(ctx context.Context, f *flight, req Request, q *buf
 			}
 		}
 		s.traceEvent(req.TraceID, "dedup", w0, time.Since(w0), map[string]any{"verdict": "cold"})
-		return s.submitQueued(ctx, req, t0, fp, perm)
+		return s.submitQueued(ctx, req, t0, fp)
 	case <-ctx.Done():
 		s.counters.cancelled.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrCancelled, context.Cause(ctx))
@@ -478,7 +478,7 @@ func (s *Server) awaitFlight(ctx context.Context, f *flight, req Request, q *buf
 		// The shared solve outlived this caller's own pot. The queue path
 		// turns the spent budget into its usual fast-fail verdict (and
 		// still sheds or rejects if the server state demands it).
-		return s.submitQueued(ctx, req, t0, fp, perm)
+		return s.submitQueued(ctx, req, t0, fp)
 	}
 }
 
@@ -486,7 +486,7 @@ func (s *Server) awaitFlight(ctx context.Context, f *flight, req Request, q *buf
 // verdict or the caller's cancellation, and feed full packings back into
 // the solution cache. t0 is the Submit entry time, so queue-wait accounting
 // and the request budget span reuse-layer time too.
-func (s *Server) submitQueued(ctx context.Context, req Request, t0 time.Time, fp cache.Fingerprint, perm []int) (*Response, error) {
+func (s *Server) submitQueued(ctx context.Context, req Request, t0 time.Time, fp cache.Fingerprint) (*Response, error) {
 	class, _ := req.Priority.class() // validated at the top of submit
 	jctx, cancel := context.WithCancel(ctx)
 	j := &job{
@@ -569,7 +569,7 @@ func (s *Server) submitQueued(ctx context.Context, req Request, t0 time.Time, fp
 
 	select {
 	case <-j.done:
-		s.cachePut(j.resp, j.err, fp, perm)
+		s.cachePut(j.resp, j.err, fp)
 		return j.resp, j.err
 	case <-ctx.Done():
 		if j.settle() {
@@ -579,28 +579,20 @@ func (s *Server) submitQueued(ctx context.Context, req Request, t0 time.Time, fp
 		}
 		// The worker delivered first; its verdict stands.
 		<-j.done
-		s.cachePut(j.resp, j.err, fp, perm)
+		s.cachePut(j.resp, j.err, fp)
 		return j.resp, j.err
 	}
 }
 
-// cachePut feeds a solved full packing back into the cache and stamps the
-// response with its replayable trace. Degraded packings are not cacheable
-// (spilled offsets aren't transportable) and failures carry no packing.
-func (s *Server) cachePut(resp *Response, err error, fp cache.Fingerprint, perm []int) {
-	if err != nil || resp == nil || resp.Outcome != OutcomeSolved || perm == nil {
+// cachePut feeds a solved full packing back into the cache. The pipeline
+// already exports every full packing in canonical order as resp.Trace.
+// Degraded packings are not cacheable (spilled offsets aren't
+// transportable) and failures carry no packing.
+func (s *Server) cachePut(resp *Response, err error, fp cache.Fingerprint) {
+	if s.cache == nil || err != nil || resp == nil || resp.Outcome != OutcomeSolved || resp.Trace == nil || fp.Key == "" {
 		return
 	}
-	canonical := cache.ToCanonical(resp.Offsets, perm)
-	if canonical == nil {
-		return
-	}
-	if resp.Trace == nil {
-		resp.Trace = &telamalloc.DecisionTrace{Winner: resp.Winner, Shape: fp.ShapeKey, Offsets: canonical}
-	}
-	if s.cache != nil {
-		s.cache.Put(fp, cache.Entry{Winner: resp.Winner, Offsets: canonical})
-	}
+	s.cache.Put(fp, cache.Entry{Winner: resp.Winner, Offsets: resp.Trace.Offsets})
 }
 
 // rejectDraining is the common admission-refused-by-drain exit: undo the

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -112,9 +113,11 @@ func Make(req Request) (*Plan, error) {
 	}
 	pinned := func(i int) bool { return req.Pinned != nil && req.Pinned[i] }
 
-	retained := make([]bool, n)
+	// retained lists the buffers still on-chip, in ID order; it is also the
+	// back-map of each attempt's subset.
+	retained := make([]int, n)
 	for i := range retained {
-		retained[i] = true
+		retained[i] = i
 	}
 	plan := &Plan{}
 	for {
@@ -124,13 +127,13 @@ func Make(req Request) (*Plan, error) {
 		if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
 			return nil, fmt.Errorf("%w after %d attempts", ErrDeadline, plan.Attempts)
 		}
-		sub, back := subset(p, retained)
+		sub := p.Subset(retained)
 		plan.Attempts++
 		sol, err := allocate(req, sub)
 		if err == nil {
 			full := buffers.NewSolution(n)
 			for subID, off := range sol.Offsets {
-				full.Offsets[back[subID]] = off
+				full.Offsets[retained[subID]] = off
 			}
 			plan.Solution = full
 			return plan, nil
@@ -141,11 +144,12 @@ func Make(req Request) (*Plan, error) {
 		if req.MaxSpills > 0 && len(plan.Spilled) >= req.MaxSpills {
 			return nil, fmt.Errorf("%w: spill cap %d reached", ErrCannotFit, req.MaxSpills)
 		}
-		victim := chooseVictim(p, retained, weights, pinned)
-		if victim < 0 {
+		k := chooseVictim(sub, retained, weights, pinned)
+		if k < 0 {
 			return nil, ErrCannotFit
 		}
-		retained[victim] = false
+		victim := retained[k]
+		retained = slices.Delete(retained, k, k+1)
 		plan.Spilled = append(plan.Spilled, victim)
 		plan.SpillCost += weights[victim]
 	}
@@ -166,12 +170,12 @@ func allocate(req Request, sub *buffers.Problem) (sol *buffers.Solution, err err
 	return req.Allocator.Allocate(sub)
 }
 
-// chooseVictim picks the cheapest useful eviction: among buffers live during
-// the currently most-contended time range, the one with the lowest
-// weight-per-byte-of-relief (ties: larger size first, then lower ID).
-// Returns -1 when nothing is evictable.
-func chooseVictim(p *buffers.Problem, retained []bool, weights []int64, pinned func(int) bool) int {
-	sub, back := subset(p, retained)
+// chooseVictim picks the cheapest useful eviction from sub, the retained
+// buffers whose original IDs back lists: among buffers live during the
+// currently most-contended time range, the one with the lowest
+// weight-per-byte-of-relief (ties: larger size first, then lower ID). It
+// returns the victim's index in sub, or -1 when nothing is evictable.
+func chooseVictim(sub *buffers.Problem, back []int, weights []int64, pinned func(int) bool) int {
 	if len(sub.Buffers) == 0 {
 		return -1
 	}
@@ -183,7 +187,7 @@ func chooseVictim(p *buffers.Problem, retained []bool, weights []int64, pinned f
 		}
 	}
 	type cand struct {
-		id    int
+		id    int     // index in sub, which orders like the original ID
 		score float64 // weight per byte of relief; lower is better
 		size  int64
 	}
@@ -195,7 +199,7 @@ func chooseVictim(p *buffers.Problem, retained []bool, weights []int64, pinned f
 		}
 		if b.Start < peakStep.End && peakStep.Start < b.End {
 			cands = append(cands, cand{
-				id:    orig,
+				id:    subID,
 				score: float64(weights[orig]) / float64(b.Size),
 				size:  b.Size,
 			})
@@ -214,19 +218,4 @@ func chooseVictim(p *buffers.Problem, retained []bool, weights []int64, pinned f
 		return cands[i].id < cands[j].id
 	})
 	return cands[0].id
-}
-
-// subset extracts the retained buffers as a normalized problem plus the
-// mapping back to original IDs.
-func subset(p *buffers.Problem, retained []bool) (*buffers.Problem, []int) {
-	sub := &buffers.Problem{Memory: p.Memory, Name: p.Name}
-	var back []int
-	for i, b := range p.Buffers {
-		if retained[i] {
-			sub.Buffers = append(sub.Buffers, b)
-			back = append(back, i)
-		}
-	}
-	sub.Normalize()
-	return sub, back
 }
