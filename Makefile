@@ -131,6 +131,8 @@ overloadsoak:
 ## wake-every-pair engine: identical bounds, orders, conflicts and Stats.
 ## FuzzSweepEquivalence checks the six buffers.Sweep-based live-range
 ## algorithms against the hand-rolled walks they replaced.
+## FuzzGroupEquivalence checks the binary-search phase grouping against the
+## ranges × buffers scan it replaced.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAllocate -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzPipeline -fuzztime=10s .
@@ -140,6 +142,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSearchEquivalence -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPropagationEquivalence -fuzztime=10s ./internal/cp
 	$(GO) test -run='^$$' -fuzz=FuzzSweepEquivalence -fuzztime=10s ./internal/buffers
+	$(GO) test -run='^$$' -fuzz=FuzzGroupEquivalence -fuzztime=10s ./internal/phases
 
 ## diffsoak: the differential verification soak under the race detector —
 ## a client fleet and a bare Allocator solve the same seeded adversarial

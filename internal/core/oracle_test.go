@@ -17,11 +17,23 @@ import (
 // handing the framework one fully built queue. The production policies must
 // drive the search through exactly the same tree.
 
-// oraclePolicy is telaPolicy with eager candidates.
-type oraclePolicy struct{ *telaPolicy }
+// oraclePolicy is telaPolicy with eager candidates. It holds the policy in
+// a named field rather than embedding it, so it does not inherit MorePicks:
+// the oracle hands out its complete eager queue and no lazy source. Were it
+// a telamon.LazyPolicy, the framework would pull the lazy picks again after
+// that queue, and budget-check each of those duplicates.
+type oraclePolicy struct{ tp *telaPolicy }
+
+func (op oraclePolicy) Placement(st *telamon.State, buf int) (int64, bool) {
+	return op.tp.Placement(st, buf)
+}
+
+func (op oraclePolicy) BacktrackTarget(st *telamon.State, dp *telamon.DecisionPoint) (int, bool) {
+	return op.tp.BacktrackTarget(st, dp)
+}
 
 func (op oraclePolicy) Candidates(st *telamon.State) (picks, tail []int) {
-	tp := op.telaPolicy
+	tp := op.tp
 	if tp.groups == nil {
 		out := oracleTopPicks(st, nil)
 		if !tp.expensive(st) {
@@ -329,25 +341,47 @@ func TestIncrementalCandidatesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestCandidatesAllocationFree: opening a decision point mid-search on
-// DeepChain-2K allocates only the decision point's own picks — a constant,
-// where the eager queue allocated and sorted O(n) per decision point.
+// TestCandidatesAllocationFree: opening a decision point mid-search
+// allocates only the decision point's own picks, one constant-size slice,
+// however many phases the problem has: the eager queue allocated and sorted
+// O(n) per decision point, and walking every phase cost O(phases).
 func TestCandidatesAllocationFree(t *testing.T) {
-	p := atPeakPct(workload.GenDeepChain(1), 102)
-	tp := newPolicy(p, Config{})
-	var allocs float64
-	probe := &probePolicy{telaPolicy: tp, at: len(p.Buffers) / 2, measure: func(st *telamon.State) {
-		allocs = testing.AllocsPerRun(50, func() { tp.Candidates(st) })
-	}}
-	if res := telamon.Search(p, nil, probe, telamon.Options{MaxSteps: 5000}); res.Stats.Placements < int64(probe.at) {
-		t.Fatalf("search stopped before the probe: %+v", res.Stats)
-	}
-	if allocs != 1 {
-		t.Errorf("Candidates allocates %.1f objects mid-search, want 1 (the picks)", allocs)
+	for _, tc := range []struct {
+		name string
+		p    *buffers.Problem
+		one  bool // a single phase, else hundreds
+	}{
+		{"DeepChain-2K", atPeakPct(workload.GenDeepChain(1), 102), false},
+		{"FullOverlap-300", workload.FullOverlap(300, 1), true},
+	} {
+		tp := newPolicy(tc.p, Config{})
+		if phases := len(tp.orders); (phases == 1) != tc.one {
+			t.Fatalf("%s has %d phases", tc.name, phases)
+		}
+		var allocs float64
+		probe := &probePolicy{telaPolicy: tp, at: len(tc.p.Buffers) / 2, measure: func(st *telamon.State) {
+			allocs = testing.AllocsPerRun(50, func() { openLikeSearch(tp, st) })
+		}}
+		if res := telamon.Search(tc.p, nil, probe, telamon.Options{MaxSteps: 5000}); res.Stats.Placements < int64(probe.at) {
+			t.Fatalf("%s: search stopped before the probe: %+v", tc.name, res.Stats)
+		}
+		if allocs != 1 {
+			t.Errorf("%s: opening a decision point allocates %.1f objects mid-search, want 1 (the picks)", tc.name, allocs)
+		}
 	}
 }
 
-// probePolicy runs measure once, at its at-th decision point.
+// openLikeSearch gets a decision point's candidates the way the search
+// opens one: Candidates, then lazy batches until there is a pick or a tail.
+func openLikeSearch(tp *telaPolicy, st *telamon.State) {
+	picks, tail := tp.Candidates(st)
+	for more := 0; len(picks) == 0 && len(tail) == 0 && more >= 0; {
+		picks, more = tp.MorePicks(st, more, picks)
+	}
+}
+
+// probePolicy runs measure once, at its at-th decision point. Embedding
+// telaPolicy, it keeps the lazy source: it measures the production policy.
 type probePolicy struct {
 	*telaPolicy
 	at, calls int
@@ -417,4 +451,30 @@ func decodeEquivalenceInput(data []byte) (*buffers.Problem, Config, bool) {
 		return nil, Config{}, false
 	}
 	return p, cfg, true
+}
+
+// TestCandidateWorkGate bounds the candidate work per decision point on
+// DeepChain-2K (869 phases): the picks handed out and the phases the lazy
+// walk looks at. Building every phase's picks eagerly hands out ~624 picks
+// per decision point, and a lazy walk that re-crosses fully placed phases
+// looks at ~200 phases; the search itself uses about one pick.
+func TestCandidateWorkGate(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		p := atPeakPct(workload.GenDeepChain(seed), 102)
+		tp := newPolicy(p, Config{})
+		res := telamon.Search(p, nil, tp, tmOptions(Config{MaxSteps: 20000}))
+		picks := float64(tp.picked) / float64(tp.opened)
+		visits := float64(tp.visited) / float64(tp.opened)
+		t.Logf("seed %d: %v, %d phases, %d decision points: %.2f picks and %.2f phase visits each",
+			seed, res.Status, len(tp.orders), tp.opened, picks, visits)
+		if res.Status != telamon.Solved {
+			t.Fatalf("seed %d: %v", seed, res.Status)
+		}
+		if picks > 2 {
+			t.Errorf("seed %d: %.2f picks per decision point, want at most 2", seed, picks)
+		}
+		if visits > 2 {
+			t.Errorf("seed %d: %.2f phase visits per decision point, want at most 2", seed, visits)
+		}
+	}
 }

@@ -16,9 +16,13 @@ import (
 // each phase keeps its buffers sorted by the three §5.1 criteria plus one
 // cursor per order, and a decision point reads each pick from a cursor that
 // skips placed buffers. Cursors only move forward while the placed set only
-// grows; when the model reports an undone placement they rewind. Opening a
-// decision point thus costs O(picks), not a sort of every unplaced buffer.
-// A telaPolicy serves one search: its cursors describe that search's model.
+// grows; when the model reports an undone placement they rewind. The
+// current phase's picks are handed out when a decision point opens, the
+// other phases' one phase per MorePicks call, and a skip pointer per phase
+// jumps over phases with nothing left to place. Opening a decision point
+// thus costs O(picks), not a sort of every unplaced buffer nor a walk of
+// every phase. A telaPolicy serves one search: its cursors describe that
+// search's model.
 type telaPolicy struct {
 	cfg    Config
 	groups *phases.Assignment // nil when phases are disabled
@@ -32,10 +36,10 @@ type telaPolicy struct {
 	fallback []int
 	// undone is the model's PlacementsUndone count at the last call.
 	undone uint64
-	// scratch collects the picks (at most three per phase) before they
-	// are copied out at their exact length: a decision point keeps its
-	// picks for its lifetime.
-	scratch []int
+	// opened, picked and visited count decision points, the picks handed
+	// out to them and the phases the lazy walk looked at: the work the
+	// tests bound per decision point.
+	opened, picked, visited int
 }
 
 // phaseOrders is one phase's buffers in the three §5.1 orders, with a
@@ -43,6 +47,10 @@ type telaPolicy struct {
 type phaseOrders struct {
 	by   [3][]int // longest lifetime, largest size, largest area first
 	next [3]int
+	// skip is this phase's own index while it may have an unplaced
+	// buffer. Once it is known to have none, skip is a later phase index
+	// with no live phase in between (see nextLive).
+	skip int
 }
 
 // pickOrders are the §5.1 orders as comparators, in the order the picks
@@ -66,11 +74,10 @@ func newPolicy(p *buffers.Problem, cfg Config) *telaPolicy {
 	} else {
 		tp.orders = make([]phaseOrders, numPhases)
 	}
-	// One backing array holds every order — three per phase, then the
-	// fallback — and the picks scratch.
-	backing := make([]int, 4*n+3*numPhases)
-	tp.fallback = backing[3*n : 4*n]
-	tp.scratch = backing[4*n : 4*n : len(backing)]
+	// One backing array holds every order: three per phase, then the
+	// fallback.
+	backing := make([]int, 4*n)
+	tp.fallback = backing[3*n:]
 	for i := range tp.fallback {
 		tp.fallback[i] = i
 	}
@@ -84,8 +91,26 @@ func newPolicy(p *buffers.Problem, cfg Config) *telaPolicy {
 			off += k
 		}
 	}
+	tp.rewind()
 	sortStable(p, tp.fallback, largerArea)
 	return tp
+}
+
+// rewind resets every cursor and skip pointer: nothing is known placed.
+func (tp *telaPolicy) rewind() {
+	for i := range tp.orders {
+		tp.orders[i].next = [3]int{}
+		tp.orders[i].skip = i
+	}
+}
+
+// sync rewinds the cursors if the model undid a placement since the last
+// call: until it does, the placed set only grows and the cursors hold.
+func (tp *telaPolicy) sync(m *cp.Model) {
+	if u := m.PlacementsUndone(); u != tp.undone {
+		tp.undone = u
+		tp.rewind()
+	}
 }
 
 // fill sorts ids into the three orders, stored back to back in dst. The
@@ -106,30 +131,23 @@ func sortStable(p *buffers.Problem, ids []int, order func(a, b buffers.Buffer) i
 // Candidates implements telamon.Policy: at each decision point, propose the
 // longest-lived, largest and largest-area unplaced blocks (§5.1), preferring
 // the phase of the most recently placed block and falling back to the other
-// phases in contention order (§5.3). At expensive decision points the tail
-// adds every remaining unplaced block as a final fallback, largest area
-// first.
+// phases in contention order (§5.3). Only the preferred phase's picks are
+// built here; MorePicks hands out the other phases' on demand. At expensive
+// decision points the tail adds every remaining unplaced block as a final
+// fallback, largest area first.
 func (tp *telaPolicy) Candidates(st *telamon.State) (picks, tail []int) {
-	if u := st.Model.PlacementsUndone(); u != tp.undone {
-		tp.undone = u
-		for i := range tp.orders {
-			tp.orders[i].next = [3]int{}
-		}
-	}
-	picks = tp.scratch[:0]
-	cur := -1
+	tp.sync(st.Model)
+	tp.opened++
+	cur := 0 // with phases disabled, the one entry covers every buffer
 	if tp.groups != nil {
 		cur = tp.currentPhase(st)
 	}
 	if cur >= 0 {
-		picks = tp.orders[cur].appendPicks(st.Model, picks)
+		// The decision point owns its picks; three is the most one phase
+		// gives.
+		picks = tp.orders[cur].appendPicks(st.Model, make([]int, 0, 3))
+		tp.picked += len(picks)
 	}
-	for i := range tp.orders {
-		if i != cur {
-			picks = tp.orders[i].appendPicks(st.Model, picks)
-		}
-	}
-	picks = slices.Clone(picks)
 	if tp.expensive(st) {
 		// Last-resort fallback (§6.5 describes the same idea for the ML
 		// path): after the heuristic picks, try the remaining unplaced
@@ -143,22 +161,80 @@ func (tp *telaPolicy) Candidates(st *telamon.State) (picks, tail []int) {
 	return picks, tail
 }
 
+// MorePicks implements telamon.LazyPolicy: the picks of the first phase at
+// or after the cursor that has an unplaced buffer and is not the preferred
+// phase Candidates already covered, and the cursor past it. Phases come in
+// contention order, so the batches joined read like an eager walk of every
+// phase.
+func (tp *telaPolicy) MorePicks(st *telamon.State, cursor int, dst []int) ([]int, int) {
+	if tp.groups == nil {
+		return dst, -1
+	}
+	tp.sync(st.Model)
+	i := tp.nextLive(st.Model, cursor)
+	if i == tp.currentPhase(st) {
+		i = tp.nextLive(st.Model, i+1)
+	}
+	if i == len(tp.orders) {
+		return dst, -1
+	}
+	n := len(dst)
+	dst = tp.orders[i].appendPicks(st.Model, dst)
+	tp.picked += len(dst) - n
+	return dst, i + 1
+}
+
+// nextLive returns the first phase at or after i with an unplaced buffer,
+// or len(tp.orders) when there is none. Phases found fully placed point
+// past themselves, and the walk then points every phase it crossed at the
+// phase it found, so each dead phase is crossed O(1) times amortised until
+// the next rewind. Placed buffers stay placed until then, so a dead phase
+// stays dead.
+func (tp *telaPolicy) nextLive(m *cp.Model, i int) int {
+	j := i
+	for j < len(tp.orders) {
+		tp.visited++
+		po := &tp.orders[j]
+		if po.skip != j {
+			j = po.skip
+			continue
+		}
+		if po.front(0, m) < len(po.by[0]) {
+			break
+		}
+		po.skip = j + 1
+		j++
+	}
+	for i < j {
+		next := tp.orders[i].skip
+		tp.orders[i].skip = j
+		i = next
+	}
+	return j
+}
+
 // appendPicks appends the phase's first unplaced buffer in each order,
 // skipping repeats. Phases partition the buffers, so picks of different
 // phases never collide.
 func (po *phaseOrders) appendPicks(m *cp.Model, out []int) []int {
 	base := len(out)
 	for k, order := range po.by {
-		i := po.next[k]
-		for i < len(order) && m.Placed(order[i]) {
-			i++
-		}
-		po.next[k] = i
-		if i < len(order) && !slices.Contains(out[base:], order[i]) {
+		if i := po.front(k, m); i < len(order) && !slices.Contains(out[base:], order[i]) {
 			out = append(out, order[i])
 		}
 	}
 	return out
+}
+
+// front moves order k's cursor past placed buffers and returns it: the
+// position of the order's first unplaced buffer, or its length.
+func (po *phaseOrders) front(k int, m *cp.Model) int {
+	order, i := po.by[k], po.next[k]
+	for i < len(order) && m.Placed(order[i]) {
+		i++
+	}
+	po.next[k] = i
+	return i
 }
 
 // expensive reports whether this decision point should receive the full
@@ -226,4 +302,4 @@ func (tp *telaPolicy) BacktrackTarget(st *telamon.State, dp *telamon.DecisionPoi
 	return 0, false
 }
 
-var _ telamon.Policy = (*telaPolicy)(nil)
+var _ telamon.LazyPolicy = (*telaPolicy)(nil)

@@ -6,7 +6,11 @@
 // finish placing one phase before starting the next.
 package phases
 
-import "telamalloc/internal/buffers"
+import (
+	"sort"
+
+	"telamalloc/internal/buffers"
+)
 
 // Region is a half-open time range [Start, End).
 type Region struct {
@@ -44,6 +48,12 @@ var thresholds = []int{100, 90, 80, 70, 60, 50, 40, 30, 20}
 
 // Group runs the Figure 9 algorithm over the problem. Buffers that overlap
 // no high-contention range end up in a trailing catch-all phase.
+//
+// At each threshold a buffer joins the first range, in time order, that it
+// overlaps: the ranges are disjoint and time-ordered, so that is the first
+// range ending after the buffer starts, if it also starts before the buffer
+// ends. That takes one binary search per buffer still unassigned. Phases
+// follow their ranges' time order and list their buffers by ID.
 func Group(p *buffers.Problem) *Assignment {
 	n := len(p.Buffers)
 	a := &Assignment{PhaseOf: make([]int, n)}
@@ -59,21 +69,26 @@ func Group(p *buffers.Problem) *Assignment {
 		if assigned == n {
 			break
 		}
-		threshold := int64(pct) * p.Memory / 100
-		for _, r := range highContentionRanges(profile, threshold) {
-			var ph *Phase
-			for id, b := range p.Buffers {
-				if a.PhaseOf[id] >= 0 || !r.Overlaps(b) {
-					continue
-				}
-				if ph == nil {
-					a.Phases = append(a.Phases, Phase{Region: r, ThresholdPct: pct})
-					ph = &a.Phases[len(a.Phases)-1]
-				}
-				ph.Buffers = append(ph.Buffers, id)
-				a.PhaseOf[id] = len(a.Phases) - 1
-				assigned++
+		ranges := highContentionRanges(profile, int64(pct)*p.Memory/100)
+		joined := make([][]int, len(ranges))
+		for id, b := range p.Buffers {
+			if a.PhaseOf[id] >= 0 {
+				continue
 			}
+			r := sort.Search(len(ranges), func(r int) bool { return ranges[r].End > b.Start })
+			if r < len(ranges) && ranges[r].Overlaps(b) {
+				joined[r] = append(joined[r], id)
+			}
+		}
+		for r, ids := range joined {
+			if len(ids) == 0 {
+				continue
+			}
+			for _, id := range ids {
+				a.PhaseOf[id] = len(a.Phases)
+			}
+			a.Phases = append(a.Phases, Phase{Region: ranges[r], ThresholdPct: pct, Buffers: ids})
+			assigned += len(ids)
 		}
 	}
 	if assigned < n {

@@ -1,11 +1,14 @@
 package phases
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"telamalloc/internal/buffers"
+	"telamalloc/internal/workload"
 )
 
 func TestRegionOverlaps(t *testing.T) {
@@ -244,4 +247,126 @@ func TestSplitIndependentCoversAllBuffers(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// groupOracle is the ranges × buffers Group that the binary search
+// replaced, kept as a test oracle: at each threshold it walks the ranges in
+// time order and, for each, scans every buffer for the unassigned ones
+// overlapping it.
+func groupOracle(p *buffers.Problem) *Assignment {
+	n := len(p.Buffers)
+	a := &Assignment{PhaseOf: make([]int, n)}
+	for i := range a.PhaseOf {
+		a.PhaseOf[i] = -1
+	}
+	if n == 0 {
+		return a
+	}
+	profile := buffers.Contention(p)
+	assigned := 0
+	for _, pct := range thresholds {
+		if assigned == n {
+			break
+		}
+		threshold := int64(pct) * p.Memory / 100
+		for _, r := range highContentionRanges(profile, threshold) {
+			var ph *Phase
+			for id, b := range p.Buffers {
+				if a.PhaseOf[id] >= 0 || !r.Overlaps(b) {
+					continue
+				}
+				if ph == nil {
+					a.Phases = append(a.Phases, Phase{Region: r, ThresholdPct: pct})
+					ph = &a.Phases[len(a.Phases)-1]
+				}
+				ph.Buffers = append(ph.Buffers, id)
+				a.PhaseOf[id] = len(a.Phases) - 1
+				assigned++
+			}
+		}
+	}
+	if assigned < n {
+		lo, hi := p.TimeHorizon()
+		a.Phases = append(a.Phases, Phase{Region: Region{lo, hi}})
+		idx := len(a.Phases) - 1
+		ph := &a.Phases[idx]
+		for id := range p.Buffers {
+			if a.PhaseOf[id] < 0 {
+				ph.Buffers = append(ph.Buffers, id)
+				a.PhaseOf[id] = idx
+			}
+		}
+	}
+	return a
+}
+
+// sameGroups fails the test unless Group and its oracle agree on p.
+func sameGroups(t testing.TB, name string, p *buffers.Problem) {
+	t.Helper()
+	want, got := groupOracle(p), Group(p)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: Group differs from the oracle:\noracle %+v\ngot    %+v", name, want, got)
+	}
+}
+
+// TestGroupMatchesOracle: the large proxies, every model proxy at three
+// seeds and the adversarial families, each at 50–200% of its contention
+// peak, group exactly as the ranges × buffers scan grouped them.
+func TestGroupMatchesOracle(t *testing.T) {
+	var names []string
+	var bases []*buffers.Problem
+	add := func(name string, p *buffers.Problem) {
+		names = append(names, name)
+		bases = append(bases, p)
+	}
+	add("DeepChain-2K", workload.GenDeepChain(1))
+	add("Transformer-24L", workload.GenTransformer(1))
+	for s := int64(1); s <= 3; s++ {
+		for _, m := range workload.Models {
+			add(fmt.Sprintf("%s/s%d", m.Name, s), m.Generate(s))
+		}
+		add(fmt.Sprintf("AlignmentHostile/s%d", s), workload.AlignmentHostile(40, s))
+		add(fmt.Sprintf("NearCapacityPack/s%d", s), workload.NearCapacityPack(24, s))
+		add(fmt.Sprintf("SkinnyFatMix/s%d", s), workload.SkinnyFatMix(24, s))
+		add(fmt.Sprintf("AlignTrap/s%d", s), workload.AlignTrap(s))
+		add(fmt.Sprintf("TinyModelGraph/s%d", s), workload.TinyModelGraph(s))
+	}
+	checked := 0
+	for i, base := range bases {
+		peak := buffers.Contention(base).Peak()
+		for pct := int64(50); pct <= 200; pct += 15 {
+			p := base.Clone()
+			p.Memory = peak * pct / 100
+			sameGroups(t, fmt.Sprintf("%s@%d", names[i], pct), p)
+			checked++
+		}
+	}
+	t.Logf("%d problems match", checked)
+}
+
+// FuzzGroupEquivalence decodes a small problem from bytes — a memory ratio
+// byte (percent of the contention peak, 40–295), then up to 24 buffers of
+// three bytes each: start, length, size — and requires Group to match its
+// oracle. Narrow times make ties and touching ranges common.
+func FuzzGroupEquivalence(f *testing.F) {
+	f.Add([]byte{60, 0, 4, 5, 2, 6, 5, 9, 3, 1, 9, 0, 7})
+	f.Add([]byte{10, 0, 9, 9, 0, 9, 9, 10, 2, 1, 12, 4, 2, 20, 1, 9})
+	f.Add([]byte{200, 3, 3, 3, 6, 3, 3, 6, 1, 8, 1, 7, 20})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		ratio := 40 + int64(data[0])
+		p := &buffers.Problem{}
+		for rest := data[1:]; len(rest) >= 3 && len(p.Buffers) < 24; rest = rest[3:] {
+			start := int64(rest[0] % 24)
+			p.Buffers = append(p.Buffers, buffers.Buffer{
+				Start: start,
+				End:   start + 1 + int64(rest[1]%12),
+				Size:  1 + int64(rest[2]%32),
+			})
+		}
+		p.Memory = max(1, buffers.Contention(p).Peak()*ratio/100)
+		sameGroups(t, "fuzz", p)
+	})
 }

@@ -9,12 +9,17 @@ package telamon
 //
 //  1. Candidates — once per new decision point. The policy inspects the
 //     live state (placed buffers, solver bounds, phase structure) and
-//     returns its picks plus an optional shared fallback tail. The
+//     returns its picks plus an optional shared fallback tail. A
+//     LazyPolicy hands out further picks through MorePicks, one batch per
+//     call, which the framework pulls only when it has walked every pick
+//     so far — while trying candidates or building a promotion — and only
+//     while the model is at that decision point's placement prefix. The
 //     framework walks the picks, then the tail's entries that are neither
 //     placed nor picked, across minor backtracks, and may later replace
 //     the queue with promoted candidates from deeper, failed decision
-//     points. A static tail lets a policy build its orders once per
-//     problem and open each decision point in O(picks).
+//     points. A static tail and lazy batches let a policy build its
+//     orders once per problem and open each decision point in O(picks),
+//     paying for a later batch only when the search gets to it.
 //
 //  2. Placement — once per candidate attempt. The policy converts a buffer
 //     ID into a concrete position; ok=false marks the candidate dead

@@ -2,6 +2,7 @@ package telamon
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,9 +184,10 @@ func TestPolicyBacktrackOverrideIsConsulted(t *testing.T) {
 }
 
 // promoted runs one candidate promotion from an exhausted point holding
-// promoted to a target holding rest (as picks, or as a lazy tail when
-// asTail), and returns the target's merged queue.
-func promoted(promoted, rest []int, asTail bool, limit int) []int {
+// promoted to a committed target holding rest, both handed over as how
+// says: as picks, as a shared tail, or as lazy batches of one. It returns
+// the target's merged queue and the number of lazy batches pulled.
+func promoted(t *testing.T, promoted, rest []int, how string, limit int) ([]int, int) {
 	p := &buffers.Problem{Memory: 64}
 	for i := 0; i < 8; i++ {
 		p.Buffers = append(p.Buffers, buffers.Buffer{Start: 0, End: 1, Size: 1})
@@ -195,35 +197,217 @@ func promoted(promoted, rest []int, asTail bool, limit int) []int {
 		st:   &State{Model: cp.NewModel(p, nil), Prob: p, PlacedLevel: make([]int, len(p.Buffers))},
 		opts: Options{MaxCandidatesPerLevel: limit},
 	}
-	target := &DecisionPoint{Queue: rest, Placed: -1, tried: map[int]bool{}}
-	if asTail {
-		target.Queue, target.tail = nil, rest
+	// The target committed buffer 7, so the exhausted point's prefix has
+	// it placed and the target's own prefix does not.
+	target := &DecisionPoint{Placed: 7, tried: map[int]bool{}}
+	s.st.Model.Push()
+	if c := s.st.Model.Place(7, 0); c != nil {
+		t.Fatal(c)
 	}
-	exhausted := &DecisionPoint{Queue: promoted, Placed: -1, tried: map[int]bool{}}
+	exhausted := &DecisionPoint{Placed: -1, tried: map[int]bool{}}
 	s.st.Stack = []*DecisionPoint{target, exhausted}
-	s.promote(exhausted, 0)
-	if target.tail != nil || target.Next != 0 {
-		panic("promotion must leave a materialised queue")
+	src := &batchSource{t: t, probe: 7,
+		picks:  map[*DecisionPoint][]int{target: rest, exhausted: promoted},
+		placed: map[*DecisionPoint]bool{exhausted: true}}
+	switch how {
+	case "picks":
+		target.Queue, exhausted.Queue = rest, promoted
+	case "tail":
+		target.tail, exhausted.Queue = rest, promoted
+	case "lazy":
+		s.lazy = src
 	}
-	return target.Queue
+	s.promote(exhausted, 0)
+	if target.tail != nil || target.Next != 0 || (how == "lazy" && target.more >= 0) {
+		t.Fatalf("%s: promotion must leave a materialised queue", how)
+	}
+	return target.Queue, src.pulls
+}
+
+// batchSource is a lazy source handing out each decision point's picks one
+// per batch. It checks that every pull runs at the point's own placement
+// prefix: with the probe buffer placed exactly where placed says.
+type batchSource struct {
+	idOrderPolicy
+	t      *testing.T
+	picks  map[*DecisionPoint][]int
+	placed map[*DecisionPoint]bool
+	probe  int
+	pulls  int
+}
+
+func (b *batchSource) MorePicks(st *State, cursor int, dst []int) ([]int, int) {
+	dp := st.Stack[len(st.Stack)-1]
+	if st.Model.Placed(b.probe) != b.placed[dp] {
+		b.t.Errorf("pull outside the decision point's prefix: buffer %d placed = %v", b.probe, !b.placed[dp])
+	}
+	list := b.picks[dp]
+	if cursor >= len(list) {
+		return dst, -1
+	}
+	b.pulls++
+	return append(dst, list[cursor]), cursor + 1
 }
 
 func TestMergeQueues(t *testing.T) {
-	for _, asTail := range []bool{false, true} {
-		got := promoted([]int{3, 1, 3}, []int{1, 2, 4}, asTail, 10)
-		want := []int{3, 1, 2, 4}
-		if len(got) != len(want) {
-			t.Fatalf("tail=%v: merged = %v, want %v", asTail, got, want)
+	for _, how := range []string{"picks", "tail", "lazy"} {
+		got, _ := promoted(t, []int{3, 1, 3}, []int{1, 2, 4}, how, 10)
+		if want := []int{3, 1, 2, 4}; !slices.Equal(got, want) {
+			t.Fatalf("%s: merged = %v, want %v", how, got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("tail=%v: merged = %v, want %v", asTail, got, want)
-			}
+		got, pulls := promoted(t, []int{1, 2, 3}, []int{4, 5}, how, 2)
+		if want := []int{1, 2}; !slices.Equal(got, want) {
+			t.Errorf("%s: cap ignored: merged = %v, want %v", how, got, want)
 		}
-		if got := promoted([]int{1, 2, 3}, []int{4, 5}, asTail, 2); len(got) != 2 {
-			t.Errorf("tail=%v: cap ignored: %v", asTail, got)
+		if how == "lazy" && pulls != 2 {
+			t.Errorf("lazy: %d batches pulled for a cap of 2, want only the 2 kept", pulls)
 		}
 	}
+}
+
+// A point whose Candidates are empty but whose lazy source is not must
+// search its lazy picks only: the ID-order fallback is for a point with no
+// candidates at all. Here the root's only lazy pick, buffer 2, behind an
+// empty batch, is dead, so the search must stop after one step.
+func TestLazySourceSuppressesIDFallback(t *testing.T) {
+	p := &buffers.Problem{Memory: 8}
+	for i := 0; i < 3; i++ {
+		p.Buffers = append(p.Buffers, buffers.Buffer{Start: 0, End: 5, Size: 2})
+	}
+	p.Normalize()
+	var tried []int
+	pol := lazyFuncPolicy{
+		funcPolicy: funcPolicy{
+			cands: func(*State) ([]int, []int) { return nil, nil },
+			place: func(_ *State, b int) (int64, bool) { tried = append(tried, b); return 0, false },
+			back:  idOrderPolicy{}.BacktrackTarget,
+		},
+		more: func(_ *State, cursor int, dst []int) ([]int, int) {
+			if cursor == 0 {
+				return dst, 1 // an empty batch first
+			}
+			return append(dst, 2), -1
+		},
+	}
+	res := Search(p, nil, pol, Options{})
+	if res.Status != Exhausted || !slices.Equal(tried, []int{2}) {
+		t.Fatalf("%v after trying %v, want exhausted after trying only [2]", res.Status, tried)
+	}
+	// Without a lazy pick the ID-order fallback applies.
+	tried = nil
+	pol.more = func(_ *State, _ int, dst []int) ([]int, int) { return dst, -1 }
+	Search(p, nil, pol, Options{})
+	if !slices.Equal(tried, []int{0, 1, 2}) {
+		t.Fatalf("tried %v, want the ID-order fallback [0 1 2]", tried)
+	}
+}
+
+type lazyFuncPolicy struct {
+	funcPolicy
+	more func(*State, int, []int) ([]int, int)
+}
+
+func (f lazyFuncPolicy) MorePicks(st *State, cursor int, dst []int) ([]int, int) {
+	return f.more(st, cursor, dst)
+}
+
+// Lazy picks must search exactly like the same picks handed over eagerly,
+// through minor and major backtracks and capped promotions: same attempts
+// in the same order, same stats, offsets and budget checks. Each point's
+// picks depend on its placement prefix, so a batch pulled under another
+// point's prefix would change the search.
+func TestLazyPicksMatchEagerQueue(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		p := hardInstance(seed, 12)
+		for _, withTail := range []bool{false, true} {
+			for _, opts := range []Options{{MaxSteps: 20000}, {MaxSteps: 20000, MaxCandidatesPerLevel: 3}, {MaxSteps: 20000, DisablePromotion: true}} {
+				var tried [2][]int
+				var runs [2]Result
+				var checks [2]int
+				for i, lazy := range []bool{false, true} {
+					o := opts
+					o.TestHook = func() bool { checks[i]++; return false }
+					runs[i] = Search(p, nil, prefixPolicy(t, lazy, withTail, &tried[i]), o)
+				}
+				if runs[0].Stats != runs[1].Stats || runs[0].Status != runs[1].Status || checks[0] != checks[1] || !slices.Equal(tried[0], tried[1]) {
+					t.Fatalf("seed %d tail=%v %+v: eager %v %+v (%d checks), lazy %v %+v (%d checks)", seed, withTail, opts,
+						runs[0].Status, runs[0].Stats, checks[0], runs[1].Status, runs[1].Stats, checks[1])
+				}
+				if runs[0].Status == Solved && !slices.Equal(runs[0].Solution.Offsets, runs[1].Solution.Offsets) {
+					t.Fatalf("seed %d tail=%v: offsets differ", seed, withTail)
+				}
+			}
+		}
+	}
+}
+
+// prefixPolicy orders each point's unplaced buffers by a hash of its
+// placement prefix and hands them out as picks, just the first three when
+// withTail, followed by the reverse-ID tail. Eager, Candidates returns
+// every pick; lazy, it returns at most one and MorePicks the rest, two per
+// batch.
+func prefixPolicy(t *testing.T, lazy, withTail bool, tried *[]int) Policy {
+	var reverse []int
+	picks := func(st *State) (picks []int, first int) {
+		var h int
+		for _, dp := range st.Stack {
+			if dp.Placed >= 0 {
+				h += (dp.Placed + 1) * (dp.Placed + 3)
+			}
+		}
+		for b := range st.Prob.Buffers {
+			if !st.Model.Placed(b) {
+				picks = append(picks, b)
+			}
+		}
+		slices.SortStableFunc(picks, func(a, b int) int { return (a*31+h)%97 - (b*31+h)%97 })
+		if withTail && len(picks) > 3 {
+			picks = picks[:3]
+		}
+		return picks, min(len(picks), h%2)
+	}
+	pol := lazyFuncPolicy{funcPolicy: funcPolicy{
+		place: func(st *State, b int) (int64, bool) {
+			*tried = append(*tried, b)
+			return st.Model.LowestFeasible(b)
+		},
+		back: idOrderPolicy{}.BacktrackTarget,
+	}}
+	tail := func(st *State) []int {
+		if !withTail {
+			return nil
+		}
+		if reverse == nil {
+			for b := len(st.Prob.Buffers) - 1; b >= 0; b-- {
+				reverse = append(reverse, b)
+			}
+		}
+		return reverse
+	}
+	pol.cands = func(st *State) ([]int, []int) {
+		all, first := picks(st)
+		if lazy {
+			all = all[:first]
+		}
+		return all, tail(st)
+	}
+	if !lazy {
+		return pol.funcPolicy
+	}
+	pol.more = func(st *State, cursor int, dst []int) ([]int, int) {
+		if top := st.Stack[len(st.Stack)-1]; top.Placed >= 0 {
+			t.Errorf("pull for a committed decision point")
+		}
+		all, first := picks(st)
+		from := first + cursor
+		to := min(from+2, len(all))
+		dst = append(dst, all[from:to]...)
+		if to == len(all) {
+			return dst, -1
+		}
+		return dst, cursor + 2
+	}
+	return pol
 }
 
 // A policy's lazy tail must search exactly like the same candidates handed
