@@ -15,12 +15,31 @@ type Overlaps struct {
 	PairCount int
 }
 
-// ComputeOverlaps builds the overlap adjacency with one Sweep: each start
-// event pairs the new buffer with the live set. The output size is
+// ComputeOverlaps builds the overlap adjacency with two Sweeps: the first
+// counts each buffer's neighbours, so the lists are cut to size from one
+// array, and the second fills them, pairing each started buffer with the
+// live set. The output size is
 // Θ(number of overlapping pairs), which is quadratic for fully overlapping
 // inputs — the same scaling limit the paper reports in Table 1.
 func ComputeOverlaps(p *Problem) *Overlaps {
 	ov := &Overlaps{Neighbors: make([][]int, len(p.Buffers))}
+	deg := make([]int, len(p.Buffers))
+	Sweep(p, func(_ int64, id int, start bool, live []int) {
+		if !start {
+			return
+		}
+		for _, j := range live {
+			deg[j]++
+		}
+		deg[id] += len(live)
+		ov.PairCount += len(live)
+	})
+	backing := make([]int, 2*ov.PairCount)
+	for i, d := range deg {
+		if d > 0 {
+			ov.Neighbors[i], backing = backing[:0:d], backing[d:]
+		}
+	}
 	Sweep(p, func(_ int64, id int, start bool, live []int) {
 		if !start {
 			return
@@ -29,7 +48,6 @@ func ComputeOverlaps(p *Problem) *Overlaps {
 			ov.Neighbors[j] = append(ov.Neighbors[j], id)
 			ov.Neighbors[id] = append(ov.Neighbors[id], j)
 		}
-		ov.PairCount += len(live)
 	})
 	for _, ns := range ov.Neighbors {
 		sort.Ints(ns)

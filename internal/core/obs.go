@@ -70,8 +70,8 @@ func solverMetricsFor(r *obs.Registry) *solverMetrics {
 }
 
 // sampler returns the stride-sampling callback handed to the framework: an
-// atomic add on the shared steps counter. One closure per component solve;
-// nothing allocates inside the search loop.
+// atomic add on the shared steps counter. One closure per Solve, shared by
+// its components; nothing allocates inside the search loop.
 func (m *solverMetrics) sampler() func(int64) {
 	steps := m.steps
 	return func(d int64) { steps.Add(d) }

@@ -248,6 +248,9 @@ func sameRun(t testing.TB, what string, want, got searchRun) {
 
 // checkEquivalence runs the incremental policies and their eager oracles on
 // p under cfg (and every single strategy) and requires identical searches.
+// It calls telamon.Search on the whole problem, so a one-buffer problem is
+// searched here too: Solve's direct answer for one-buffer groups never
+// stands in for either side.
 func checkEquivalence(t testing.TB, name string, p *buffers.Problem, cfg Config) {
 	t.Helper()
 	opts := tmOptions(cfg)
@@ -397,7 +400,8 @@ func (pp *probePolicy) Candidates(st *telamon.State) (picks, tail []int) {
 
 // FuzzSearchEquivalence decodes a small problem and a configuration from
 // bytes and requires the incremental policies to search exactly like their
-// eager oracles.
+// eager oracles, and Solve, with its direct answer for one-buffer groups,
+// to answer exactly like the search-only solve.
 func FuzzSearchEquivalence(f *testing.F) {
 	f.Add([]byte{0, 100, 0, 3, 2, 4, 0, 1, 5, 3, 1, 2, 2, 6, 0, 0, 7, 2, 1})
 	f.Add([]byte{1, 95, 3, 0, 8, 8, 0, 0, 8, 8, 0, 4, 4, 3, 2, 2, 2, 5, 1, 1, 9, 1})
@@ -409,6 +413,7 @@ func FuzzSearchEquivalence(f *testing.F) {
 		}
 		checkEquivalence(t, "fuzz", p, cfg)
 		checkStrategyEquivalence(t, "fuzz", p, cfg.MaxSteps)
+		checkAgainstSearch(t, "fuzz", p, cfg)
 	})
 }
 

@@ -19,14 +19,49 @@ func groupPoint(i int) string { return fmt.Sprintf("group%d", i) }
 // retryComponent re-runs a budget-starved group inside its own containment
 // boundary: retries execute on the merge goroutine, outside runGroup's
 // recover, and must not crash the process either.
-func retryComponent(sub *buffers.Problem, cfg Config, budget int64, i int) (res telamon.Result, err error) {
+func retryComponent(sub *buffers.Problem, cfg Config, budget int64, sample func(int64), i int) (res telamon.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			res = telamon.Result{Status: telamon.Internal}
 			err = internalError(fmt.Sprintf("subproblem group %d (retry)", i), rec)
 		}
 	}()
-	return solveComponent(sub, cfg, budget, cfg.Cancel, groupPoint(i)), nil
+	return solveComponent(sub, cfg, budget, cfg.Cancel, sample, i), nil
+}
+
+// placeAlone is the result the search reports for a one-buffer group that
+// passes its budget checks. Offset 0 is aligned and, since Validate
+// guarantees Size <= Memory, feasible, so the first attempt places the
+// buffer there: one step, one placement, depth 1. The placement's only
+// solver work is lowering the buffer's upper bound to 0, which counts as
+// one propagation unless the bound is already 0 at the root.
+func placeAlone(b buffers.Buffer, memory int64) telamon.Result {
+	top := memory - b.Size
+	if b.Align > 1 {
+		top -= top % b.Align
+	}
+	res := telamon.Result{
+		Status:   telamon.Solved,
+		Solution: &buffers.Solution{Offsets: []int64{0}},
+		Stats:    telamon.Stats{Steps: 1, Placements: 1, MaxDepth: 1},
+	}
+	if top > 0 {
+		res.Stats.SolverStats.Propagations = 1
+	}
+	return res
+}
+
+// replayFirst returns a cancel hook that answers its first call with first
+// and polls cancel after that.
+func replayFirst(first bool, cancel func() bool) func() bool {
+	replayed := false
+	return func() bool {
+		if !replayed {
+			replayed = true
+			return first
+		}
+		return cancel()
+	}
 }
 
 // GroupReport describes the outcome of one independent subproblem (§5.3
@@ -52,8 +87,8 @@ type GroupReport struct {
 // groupRun carries one group's solve state across the two scheduling
 // phases.
 type groupRun struct {
-	ids     []int // the group's buffer IDs, also its sub's back-map
-	sub     *buffers.Problem
+	ids     []int            // the group's buffer IDs, also its sub's back-map
+	sub     *buffers.Problem // nil when the group was answered without a search
 	share   int64
 	res     telamon.Result
 	err     error // attributed panic when res.Status is telamon.Internal
@@ -131,7 +166,13 @@ func lowerFailed(failed *atomic.Int64, i int) {
 // fails definitively (Exhausted): a failure at group i cancels only groups
 // with a higher index, so every group below the determining failure still
 // reaches its own deterministic verdict.
-func solveGroups(p *buffers.Problem, cfg Config, groups [][]int) Result {
+//
+// A one-buffer group is answered without a search (placeAlone) when that
+// cannot change what any caller observes: no fault-injection hook or
+// candidate gate would have been called, and the cancel and deadline polls
+// of the search's first budget check, taken here instead, pass. sample
+// receives each group's steps, as the search's OnSample would.
+func solveGroups(p *buffers.Problem, cfg Config, groups [][]int, sample func(int64)) Result {
 	n := len(groups)
 	runs := make([]groupRun, n)
 	shares := splitBudget(cfg.MaxSteps, n)
@@ -141,6 +182,11 @@ func solveGroups(p *buffers.Problem, cfg Config, groups [][]int) Result {
 	var failed atomic.Int64
 	failed.Store(int64(n))
 
+	// polls is group i's cancellation poll: a lower group failed for real,
+	// or the caller cancelled.
+	polls := func(i int) bool {
+		return failed.Load() < int64(i) || (cfg.Cancel != nil && cfg.Cancel())
+	}
 	runGroup := func(i int) {
 		r := &runs[i]
 		// Containment boundary: a panic anywhere in this group's search —
@@ -157,18 +203,32 @@ func solveGroups(p *buffers.Problem, cfg Config, groups [][]int) Result {
 		}()
 		r.share = shares[i]
 		r.ids = groups[i]
-		if failed.Load() < int64(i) || (cfg.Cancel != nil && cfg.Cancel()) {
+		if polls(i) {
 			// A lower group already failed for real: this group's result
 			// cannot influence the outcome, so skip the search entirely.
 			r.res = telamon.Result{Status: telamon.Cancelled}
 			return
 		}
-		r.sub = p.Subset(r.ids)
-		cancel := func() bool {
-			return failed.Load() < int64(i) || (cfg.Cancel != nil && cfg.Cancel())
-		}
 		start := time.Now()
-		r.res = solveComponent(r.sub, cfg, r.share, cancel, groupPoint(i))
+		alone := len(r.ids) == 1 && cfg.Hook == nil && cfg.Gate == nil
+		stopped := false
+		if alone {
+			stopped = polls(i)
+			if !stopped && (cfg.Deadline.IsZero() || !time.Now().After(cfg.Deadline)) {
+				r.res = placeAlone(p.Buffers[r.ids[0]], p.Memory)
+				sample(r.res.Stats.Steps)
+				r.elapsed = time.Since(start)
+				return
+			}
+		}
+		cancel := func() bool { return polls(i) }
+		if alone {
+			// A poll fired: the search reports it, and its own first poll
+			// hears the answer already taken instead of polling again.
+			cancel = replayFirst(stopped, cancel)
+		}
+		r.sub = p.Subset(r.ids)
+		r.res = solveComponent(r.sub, cfg, r.share, cancel, sample, i)
 		r.elapsed = time.Since(start)
 		if r.res.Status == telamon.Exhausted || r.res.Status == telamon.Internal {
 			lowerFailed(&failed, i)
@@ -198,13 +258,13 @@ func solveGroups(p *buffers.Problem, cfg Config, groups [][]int) Result {
 		wg.Wait()
 	}
 
-	return mergeGroups(p, cfg, runs)
+	return mergeGroups(p, cfg, runs, sample)
 }
 
 // mergeGroups performs the deterministic sequential merge: leftover-funded
 // retries in group order, stats accumulation in group order, and the first
 // non-Solved group deciding the result.
-func mergeGroups(p *buffers.Problem, cfg Config, runs []groupRun) Result {
+func mergeGroups(p *buffers.Problem, cfg Config, runs []groupRun, sample func(int64)) Result {
 	out := Result{
 		Status:      telamon.Solved,
 		Solution:    buffers.NewSolution(len(p.Buffers)),
@@ -236,7 +296,7 @@ func mergeGroups(p *buffers.Problem, cfg Config, runs []groupRun) Result {
 			// one sees is the same at every parallelism level.
 			budget := r.share + leftover
 			start := time.Now()
-			r.res, r.err = retryComponent(r.sub, cfg, budget, i)
+			r.res, r.err = retryComponent(r.sub, cfg, budget, sample, i)
 			r.elapsed += time.Since(start)
 			r.retried = true
 			if r.res.Status == telamon.Solved {

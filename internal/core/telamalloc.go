@@ -149,13 +149,14 @@ type Result struct {
 func Solve(p *buffers.Problem, cfg Config) Result {
 	m := solverMetricsFor(cfg.Obs)
 	start := time.Now()
-	res := solve(p, cfg)
+	res := solve(p, cfg, m.sampler())
 	m.record(res, time.Since(start))
 	return res
 }
 
-// solve is Solve without the telemetry wrapper.
-func solve(p *buffers.Problem, cfg Config) Result {
+// solve is Solve without the telemetry wrapper; sample feeds the live steps
+// counter.
+func solve(p *buffers.Problem, cfg Config, sample func(int64)) Result {
 	if err := p.Validate(); err != nil {
 		return Result{Status: telamon.Invalid, Err: err}
 	}
@@ -173,7 +174,7 @@ func solve(p *buffers.Problem, cfg Config) Result {
 	} else {
 		groups = phases.SplitIndependent(p)
 	}
-	return solveGroups(p, cfg, groups)
+	return solveGroups(p, cfg, groups, sample)
 }
 
 // Allocator adapts Solve to the heuristics.Allocator interface so the
@@ -228,9 +229,10 @@ var _ heuristics.Allocator = Allocator{}
 
 // solveComponent searches one independent subproblem. maxSteps is the
 // group's allotment from the shared pot (0 = unlimited), cancel the
-// cooperative-cancellation hook (nil = never), and point the stable label
-// handed to the fault-injection hook.
-func solveComponent(p *buffers.Problem, cfg Config, maxSteps int64, cancel func() bool, point string) telamon.Result {
+// cooperative-cancellation hook (nil = never), sample the search's OnSample
+// callback, and group the subproblem's index, which names it to the
+// fault-injection hook.
+func solveComponent(p *buffers.Problem, cfg Config, maxSteps int64, cancel func() bool, sample func(int64), group int) telamon.Result {
 	policy := newPolicy(p, cfg)
 	opts := telamon.Options{
 		MaxSteps:              maxSteps,
@@ -241,10 +243,10 @@ func solveComponent(p *buffers.Problem, cfg Config, maxSteps int64, cancel func(
 		Cancel:                cancel,
 	}
 	if cfg.Hook != nil {
-		hook := cfg.Hook
+		hook, point := cfg.Hook, groupPoint(group)
 		opts.TestHook = func() bool { return hook(point) }
 	}
-	opts.OnSample = solverMetricsFor(cfg.Obs).sampler()
+	opts.OnSample = sample
 	return telamon.Search(p, nil, policy, opts)
 }
 

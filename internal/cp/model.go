@@ -240,6 +240,11 @@ func NewModel(p *buffers.Problem, ov *buffers.Overlaps) *Model {
 			m.slot[2*k], m.slot[2*k+1] = int32(j), sb
 		}
 	}
+	// A search that places every buffer without backtracking fixes each
+	// pair's order once and raises one bound per pair, plus two entries per
+	// placement: sized for that, the trail never regrows on such a search,
+	// and a regrown copy is garbage the size of the trail so far.
+	m.trail = make([]trailEntry, 0, 2*len(m.pairs)+2*n)
 	m.order = make([]Order, len(m.pairs))
 	m.inQueue = make([]bool, len(m.pairs))
 	for k := range m.pairs {

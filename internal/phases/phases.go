@@ -135,16 +135,27 @@ func highContentionRanges(profile buffers.ContentionProfile, threshold int64) []
 // independently"). The returned slices hold buffer IDs per subproblem, in
 // time order. Problems with a single component return one group.
 func SplitIndependent(p *buffers.Problem) [][]int {
-	// A cut exists wherever a buffer starts with nothing live.
-	var groups [][]int
+	// A cut exists wherever a buffer starts with nothing live, so a group
+	// is a run of consecutive starts, and one array holds every group.
+	ids := make([]int, 0, len(p.Buffers))
+	var cuts []int
 	buffers.Sweep(p, func(_ int64, id int, start bool, live []int) {
 		if !start {
 			return
 		}
 		if len(live) == 0 {
-			groups = append(groups, nil)
+			cuts = append(cuts, len(ids))
 		}
-		groups[len(groups)-1] = append(groups[len(groups)-1], id)
+		ids = append(ids, id)
 	})
+	if len(ids) == 0 {
+		return nil
+	}
+	cuts = append(cuts, len(ids))
+	groups := make([][]int, len(cuts)-1)
+	for i := range groups {
+		lo, hi := cuts[i], cuts[i+1]
+		groups[i] = ids[lo:hi:hi]
+	}
 	return groups
 }

@@ -96,7 +96,7 @@ var (
 
 // toInternal converts the public problem to the internal representation.
 func toInternal(p Problem) *buffers.Problem {
-	q := &buffers.Problem{Memory: p.Memory, Name: p.Name}
+	q := &buffers.Problem{Memory: p.Memory, Name: p.Name, Buffers: make([]buffers.Buffer, 0, len(p.Buffers))}
 	for _, b := range p.Buffers {
 		q.Buffers = append(q.Buffers, buffers.Buffer{
 			Start: b.Start, End: b.End, Size: b.Size, Align: b.Align,
