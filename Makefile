@@ -125,8 +125,10 @@ overloadsoak:
 ## one public sentinel — plus the cache-key invariant: fingerprint-equal
 ## problems must accept each other's replayed solutions, and the wire
 ## schema's untrusted-line parsing (FuzzWire) must never panic and must
-## re-encode to a fixed point. FuzzSearchEquivalence checks the incremental
-## candidate generation against its eager oracle: identical search trees.
+## re-encode to a fixed point. FuzzSearchEquivalence checks the batched
+## candidate stream (phase walk and fallback, one batch at a time) against
+## its eager oracle, which hands out the whole queue in one batch:
+## identical search trees.
 ## FuzzPropagationEquivalence checks the gated CP wake against the reference
 ## wake-every-pair engine: identical bounds, orders, conflicts and Stats.
 ## FuzzSweepEquivalence checks the six buffers.Sweep-based live-range
@@ -155,13 +157,14 @@ diffsoak:
 	TELAMALLOC_DIFFSOAK=1 $(GO) test -race -count=1 -run TestDiffSoak -timeout 300s ./cmd/telamallocd
 	$(GO) test -race -count=1 -run 'TestDifferential|TestScorecardRegression' ./internal/check
 
-## cover: coverage floors for the verification subsystem and the exact
-## oracle it leans on — the checker is the last line of defence, so its own
-## test coverage is gated, not merely reported.
+## cover: coverage floors for the verification subsystem, the exact
+## oracle it leans on, and the search framework — the checker is the last
+## line of defence, and every solve runs the framework's candidate stream,
+## so their own test coverage is gated, not merely reported.
 cover:
-	@$(GO) test -cover ./internal/check ./internal/ilp | tee /tmp/telamalloc_cover.txt; \
+	@$(GO) test -cover ./internal/check ./internal/ilp ./internal/telamon | tee /tmp/telamalloc_cover.txt; \
 	awk '{ for (i=1;i<=NF;i++) if ($$i=="coverage:") { c=$$(i+1); sub(/%/,"",c); \
-		floor = ($$2 ~ /internal\/check/) ? 80 : 85; \
+		floor = ($$2 ~ /internal\/check/) ? 80 : ($$2 ~ /internal\/telamon/) ? 90 : 85; \
 		if (c+0 < floor) { printf "cover: %s at %s%% is below the %d%% floor\n", $$2, c, floor; bad=1 } } } \
 		END { exit bad }' /tmp/telamalloc_cover.txt
 

@@ -17,11 +17,8 @@ import (
 // handing the framework one fully built queue. The production policies must
 // drive the search through exactly the same tree.
 
-// oraclePolicy is telaPolicy with eager candidates. It holds the policy in
-// a named field rather than embedding it, so it does not inherit MorePicks:
-// the oracle hands out its complete eager queue and no lazy source. Were it
-// a telamon.LazyPolicy, the framework would pull the lazy picks again after
-// that queue, and budget-check each of those duplicates.
+// oraclePolicy is telaPolicy with eager candidates: the opening call hands
+// out the complete eager queue as the only batch.
 type oraclePolicy struct{ tp *telaPolicy }
 
 func (op oraclePolicy) Placement(st *telamon.State, buf int) (int64, bool) {
@@ -32,18 +29,18 @@ func (op oraclePolicy) BacktrackTarget(st *telamon.State, dp *telamon.DecisionPo
 	return op.tp.BacktrackTarget(st, dp)
 }
 
-func (op oraclePolicy) Candidates(st *telamon.State) (picks, tail []int) {
+func (op oraclePolicy) Candidates(st *telamon.State, _ int, _ []int) ([]int, int) {
 	tp := op.tp
 	if tp.groups == nil {
 		out := oracleTopPicks(st, nil)
 		if !tp.expensive(st) {
-			return out, nil
+			return out, -1
 		}
 		seen := make(map[int]bool, len(out))
 		for _, id := range out {
 			seen[id] = true
 		}
-		return oracleAppendRemaining(st, out, seen), nil
+		return oracleAppendRemaining(st, out, seen), -1
 	}
 	cur := tp.currentPhase(st)
 	out := make([]int, 0, 3*len(tp.groups.Phases))
@@ -67,7 +64,7 @@ func (op oraclePolicy) Candidates(st *telamon.State) (picks, tail []int) {
 	if tp.expensive(st) {
 		out = oracleAppendRemaining(st, out, seen)
 	}
-	return out, nil
+	return out, -1
 }
 
 // oracleAppendRemaining adds every unplaced buffer not already in out,
@@ -146,7 +143,7 @@ type oracleStrategy struct {
 	strat Strategy
 }
 
-func (os oracleStrategy) Candidates(st *telamon.State) (picks, tail []int) {
+func (os oracleStrategy) Candidates(st *telamon.State, _ int, _ []int) ([]int, int) {
 	var ids []int
 	for i := range st.Prob.Buffers {
 		if !st.Model.Placed(i) {
@@ -193,7 +190,7 @@ func (os oracleStrategy) Candidates(st *telamon.State) (picks, tail []int) {
 			return ids[a] < ids[b]
 		})
 	}
-	return ids, nil
+	return ids, -1
 }
 
 // searchRun is everything a search exposes: status, stats (with the
@@ -313,7 +310,7 @@ func oracleInputs(short bool) (names []string, probs []*buffers.Problem) {
 }
 
 // TestIncrementalCandidatesMatchOracle: presorted orders, cursors and the
-// lazy fallback tail must explore exactly the tree the eager candidate
+// batched phase walk and fallback must explore exactly the tree the eager candidate
 // queues explored — same steps, backtracks, placements, solver work,
 // offsets and budget checks (so deadline polls and fault-injection points
 // fire at the same moments) — in every candidate configuration.
@@ -375,27 +372,29 @@ func TestCandidatesAllocationFree(t *testing.T) {
 }
 
 // openLikeSearch gets a decision point's candidates the way the search
-// opens one: Candidates, then lazy batches until there is a pick or a tail.
+// opens one: the opening batch, then later batches until there is a
+// candidate.
 func openLikeSearch(tp *telaPolicy, st *telamon.State) {
-	picks, tail := tp.Candidates(st)
-	for more := 0; len(picks) == 0 && len(tail) == 0 && more >= 0; {
-		picks, more = tp.MorePicks(st, more, picks)
+	picks, more := tp.Candidates(st, 0, nil)
+	for len(picks) == 0 && more >= 0 {
+		picks, more = tp.Candidates(st, more, picks)
 	}
 }
 
-// probePolicy runs measure once, at its at-th decision point. Embedding
-// telaPolicy, it keeps the lazy source: it measures the production policy.
+// probePolicy runs measure once, when its at-th decision point opens.
 type probePolicy struct {
 	*telaPolicy
 	at, calls int
 	measure   func(st *telamon.State)
 }
 
-func (pp *probePolicy) Candidates(st *telamon.State) (picks, tail []int) {
-	if pp.calls++; pp.calls == pp.at {
-		pp.measure(st)
+func (pp *probePolicy) Candidates(st *telamon.State, cursor int, dst []int) ([]int, int) {
+	if cursor == 0 {
+		if pp.calls++; pp.calls == pp.at {
+			pp.measure(st)
+		}
 	}
-	return pp.telaPolicy.Candidates(st)
+	return pp.telaPolicy.Candidates(st, cursor, dst)
 }
 
 // FuzzSearchEquivalence decodes a small problem and a configuration from
@@ -459,9 +458,9 @@ func decodeEquivalenceInput(data []byte) (*buffers.Problem, Config, bool) {
 }
 
 // TestCandidateWorkGate bounds the candidate work per decision point on
-// DeepChain-2K (869 phases): the picks handed out and the phases the lazy
-// walk looks at. Building every phase's picks eagerly hands out ~624 picks
-// per decision point, and a lazy walk that re-crosses fully placed phases
+// DeepChain-2K (869 phases): the picks handed out and the phases the
+// phase walk looks at. Building every phase's picks eagerly hands out ~624
+// picks per decision point, and a walk that re-crosses fully placed phases
 // looks at ~200 phases; the search itself uses about one pick.
 func TestCandidateWorkGate(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {

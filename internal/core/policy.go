@@ -18,10 +18,10 @@ import (
 // skips placed buffers. Cursors only move forward while the placed set only
 // grows; when the model reports an undone placement they rewind. The
 // current phase's picks are handed out when a decision point opens, the
-// other phases' one phase per MorePicks call, and a skip pointer per phase
-// jumps over phases with nothing left to place. Opening a decision point
-// thus costs O(picks), not a sort of every unplaced buffer nor a walk of
-// every phase. A telaPolicy serves one search: its cursors describe that
+// other phases' one phase per later batch, and a skip pointer per phase
+// jumps over phases with nothing left to place; the fallback follows, one
+// buffer per batch. Opening a decision point thus costs O(picks), not a
+// sort of every unplaced buffer nor a walk of every phase. A telaPolicy serves one search: its cursors describe that
 // search's model.
 type telaPolicy struct {
 	cfg    Config
@@ -32,13 +32,13 @@ type telaPolicy struct {
 	orders []phaseOrders
 	one    [1]phaseOrders
 	// fallback is every buffer by decreasing area, then increasing ID: the
-	// tail handed out at expensive decision points.
+	// order of the last batches at expensive decision points.
 	fallback []int
 	// undone is the model's PlacementsUndone count at the last call.
 	undone uint64
-	// opened, picked and visited count decision points, the picks handed
-	// out to them and the phases the lazy walk looked at: the work the
-	// tests bound per decision point.
+	// opened, picked and visited count decision points, the phase picks
+	// handed out to them and the phases the phase walk looked at: the work
+	// the tests bound per decision point.
 	opened, picked, visited int
 }
 
@@ -131,23 +131,64 @@ func sortStable(p *buffers.Problem, ids []int, order func(a, b buffers.Buffer) i
 // Candidates implements telamon.Policy: at each decision point, propose the
 // longest-lived, largest and largest-area unplaced blocks (§5.1), preferring
 // the phase of the most recently placed block and falling back to the other
-// phases in contention order (§5.3). Only the preferred phase's picks are
-// built here; MorePicks hands out the other phases' on demand. At expensive
-// decision points the tail adds every remaining unplaced block as a final
-// fallback, largest area first.
-func (tp *telaPolicy) Candidates(st *telamon.State) (picks, tail []int) {
+// phases in contention order (§5.3), one phase per batch. At expensive
+// decision points every remaining unplaced block follows as a final
+// fallback, largest area first, one per batch.
+//
+// Opening a point builds only the preferred phase's picks. A later cursor
+// encodes a position pos and a bit fb (see cursorAt): pos below
+// len(tp.orders) is the next phase of the walk, pos - len(tp.orders) the
+// next fallback position, and fb records whether the point gets the
+// fallback.
+func (tp *telaPolicy) Candidates(st *telamon.State, cursor int, dst []int) ([]int, int) {
 	tp.sync(st.Model)
-	tp.opened++
-	cur := 0 // with phases disabled, the one entry covers every buffer
-	if tp.groups != nil {
-		cur = tp.currentPhase(st)
+	if cursor == 0 {
+		return tp.open(st)
 	}
+	pos, fb := cursor>>1-1, cursor&1
+	if pos < len(tp.orders) {
+		i := tp.nextLive(st.Model, pos)
+		if i == tp.currentPhase(st) {
+			i = tp.nextLive(st.Model, i+1)
+		}
+		if i < len(tp.orders) {
+			n := len(dst)
+			dst = tp.orders[i].appendPicks(st.Model, dst)
+			tp.picked += len(dst) - n
+			return dst, cursorAt(i+1, fb)
+		}
+		pos = len(tp.orders)
+	}
+	if fb == 0 {
+		return dst, -1
+	}
+	// Every phase's picks are in the queue by now, so the fallback hands
+	// out the buffers that are neither placed nor picks.
+	for j := pos - len(tp.orders); j < len(tp.fallback); j++ {
+		if b := tp.fallback[j]; !st.Model.Placed(b) && !tp.isPick(st.Model, b) {
+			return append(dst, b), cursorAt(len(tp.orders)+j+1, fb)
+		}
+	}
+	return dst, -1
+}
+
+// open hands out a new decision point's first batch: the current phase's
+// picks, or with phases disabled the one entry's, which covers every
+// buffer and leaves no phase to walk.
+func (tp *telaPolicy) open(st *telamon.State) ([]int, int) {
+	tp.opened++
+	cur, pos := 0, len(tp.orders)
+	if tp.groups != nil {
+		cur, pos = tp.currentPhase(st), 0
+	}
+	var picks []int
 	if cur >= 0 {
 		// The decision point owns its picks; three is the most one phase
 		// gives.
 		picks = tp.orders[cur].appendPicks(st.Model, make([]int, 0, 3))
 		tp.picked += len(picks)
 	}
+	fb := 0
 	if tp.expensive(st) {
 		// Last-resort fallback (§6.5 describes the same idea for the ML
 		// path): after the heuristic picks, try the remaining unplaced
@@ -156,32 +197,27 @@ func (tp *telaPolicy) Candidates(st *telamon.State) (picks, tail []int) {
 		// decision point, more major backtracks) is available via
 		// Config.NoFallbackCandidates; a learned step gate (§8.3) can make
 		// the call per decision point via Config.Gate.
-		tail = tp.fallback
+		fb = 1
 	}
-	return picks, tail
+	return picks, cursorAt(pos, fb)
 }
 
-// MorePicks implements telamon.LazyPolicy: the picks of the first phase at
-// or after the cursor that has an unplaced buffer and is not the preferred
-// phase Candidates already covered, and the cursor past it. Phases come in
-// contention order, so the batches joined read like an eager walk of every
-// phase.
-func (tp *telaPolicy) MorePicks(st *telamon.State, cursor int, dst []int) ([]int, int) {
-	if tp.groups == nil {
-		return dst, -1
+// cursorAt encodes position pos and fallback bit fb as a cursor, never 0.
+func cursorAt(pos, fb int) int { return (pos+1)<<1 | fb }
+
+// isPick reports whether the unplaced buffer b is one of its phase's picks:
+// the first unplaced buffer of one of the phase's orders.
+func (tp *telaPolicy) isPick(m *cp.Model, b int) bool {
+	po := &tp.orders[0]
+	if tp.groups != nil {
+		po = &tp.orders[tp.groups.PhaseOf[b]]
 	}
-	tp.sync(st.Model)
-	i := tp.nextLive(st.Model, cursor)
-	if i == tp.currentPhase(st) {
-		i = tp.nextLive(st.Model, i+1)
+	for k, order := range po.by {
+		if order[po.front(k, m)] == b {
+			return true
+		}
 	}
-	if i == len(tp.orders) {
-		return dst, -1
-	}
-	n := len(dst)
-	dst = tp.orders[i].appendPicks(st.Model, dst)
-	tp.picked += len(dst) - n
-	return dst, i + 1
+	return false
 }
 
 // nextLive returns the first phase at or after i with an unplaced buffer,
@@ -238,7 +274,7 @@ func (po *phaseOrders) front(k int, m *cp.Model) int {
 }
 
 // expensive reports whether this decision point should receive the full
-// fallback candidate set.
+// fallback candidates.
 func (tp *telaPolicy) expensive(st *telamon.State) bool {
 	if tp.cfg.Gate != nil {
 		// Learned gates are user-supplied code: run under attribution so a
@@ -302,4 +338,4 @@ func (tp *telaPolicy) BacktrackTarget(st *telamon.State, dp *telamon.DecisionPoi
 	return 0, false
 }
 
-var _ telamon.LazyPolicy = (*telaPolicy)(nil)
+var _ telamon.Policy = (*telaPolicy)(nil)

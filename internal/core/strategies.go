@@ -45,8 +45,8 @@ var Strategies = []Strategy{StrategyMaxSize, StrategyMaxArea, StrategyMaxLifetim
 
 // strategyPolicy is the single-heuristic ablation policy.
 type strategyPolicy struct {
-	// order is every buffer in the strategy's static order, handed to
-	// every decision point as its tail; nil for lowest-position.
+	// order is every buffer in the strategy's static order, which every
+	// decision point walks; nil for lowest-position.
 	order []int
 	// pos is lowest-position's per-decision-point scratch, by buffer ID.
 	pos []int64
@@ -76,11 +76,17 @@ func newStrategyPolicy(p *buffers.Problem, strat Strategy) *strategyPolicy {
 
 // Candidates offers every unplaced buffer ordered by the strategy's
 // criterion (ties to the lower ID), so minor backtracks naturally fall
-// through to the next-best block. The static criteria share one presorted
-// tail; lowest-position depends on the state and is sorted per call.
-func (sp *strategyPolicy) Candidates(st *telamon.State) (picks, tail []int) {
+// through to the next-best block. The static criteria walk one presorted
+// order, one buffer per batch, the cursor being the position to resume
+// at; lowest-position depends on the state and is sorted in one batch.
+func (sp *strategyPolicy) Candidates(st *telamon.State, cursor int, dst []int) ([]int, int) {
 	if sp.order != nil {
-		return nil, sp.order
+		for j := cursor; j < len(sp.order); j++ {
+			if b := sp.order[j]; !st.Model.Placed(b) {
+				return append(dst, b), j + 1
+			}
+		}
+		return dst, -1
 	}
 	for id := range st.Prob.Buffers {
 		if st.Model.Placed(id) {
@@ -91,15 +97,15 @@ func (sp *strategyPolicy) Candidates(st *telamon.State) (picks, tail []int) {
 			p = 1 << 62
 		}
 		sp.pos[id] = p
-		picks = append(picks, id)
+		dst = append(dst, id)
 	}
-	slices.SortFunc(picks, func(a, b int) int {
+	slices.SortFunc(dst, func(a, b int) int {
 		if c := cmp.Compare(sp.pos[a], sp.pos[b]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	return picks, nil
+	return dst, -1
 }
 
 // Placement places at the lowest possible position, like the paper's

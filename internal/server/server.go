@@ -405,11 +405,10 @@ func (s *Server) effectiveBudget(req Request) time.Duration {
 	return budget
 }
 
-// cacheLookup serves an exact-fingerprint cache hit: replay through the
-// canonical permutation, re-validate against this request's own problem,
-// and answer without touching the queue. An entry that fails validation is
-// dropped and the request proceeds cold — a bad entry costs one validation
-// sweep, never a wrong answer.
+// cacheLookup serves an exact-fingerprint cache hit without touching the
+// queue. An entry that fails validation is dropped and the request
+// proceeds cold — a bad entry costs one validation sweep, never a wrong
+// answer.
 func (s *Server) cacheLookup(q *buffers.Problem, fp cache.Fingerprint, perm []int, t0 time.Time) *Response {
 	if s.cache == nil {
 		return nil
@@ -418,9 +417,22 @@ func (s *Server) cacheLookup(q *buffers.Problem, fp cache.Fingerprint, perm []in
 	if !ok {
 		return nil
 	}
+	resp := reuse(e, q, fp, perm, t0)
+	if resp == nil {
+		s.cache.Drop(fp.Key)
+		return nil
+	}
+	resp.CacheHit = true
+	return resp
+}
+
+// reuse answers from a packing solved for a fingerprint-equal problem —
+// a cache entry or a leader's shared verdict: replay it through the
+// canonical permutation and re-validate it against this request's own
+// problem. It returns nil when the packing does not transport.
+func reuse(e cache.Entry, q *buffers.Problem, fp cache.Fingerprint, perm []int, t0 time.Time) *Response {
 	offsets := cache.Replay(e.Offsets, perm)
 	if offsets == nil || (&buffers.Solution{Offsets: offsets}).Validate(q) != nil {
-		s.cache.Drop(fp.Key)
 		return nil
 	}
 	return &Response{
@@ -429,7 +441,6 @@ func (s *Server) cacheLookup(q *buffers.Problem, fp cache.Fingerprint, perm []in
 		Offsets:    offsets,
 		LowerBound: buffers.Contention(q).Peak(),
 		Memory:     q.Memory,
-		CacheHit:   true,
 		Elapsed:    time.Since(t0),
 		Trace:      &telamalloc.DecisionTrace{Winner: e.Winner, Shape: fp.ShapeKey, Offsets: e.Offsets},
 	}
@@ -452,21 +463,12 @@ func (s *Server) awaitFlight(ctx context.Context, f *flight, req Request, q *buf
 	select {
 	case <-f.done:
 		if f.shareable {
-			if offsets := cache.Replay(f.entry.Offsets, perm); offsets != nil &&
-				(&buffers.Solution{Offsets: offsets}).Validate(q) == nil {
+			if resp := reuse(f.entry, q, fp, perm, t0); resp != nil {
+				resp.Deduped = true
 				s.counters.dedupShared.Add(1)
 				s.counters.solved.Add(1)
 				s.traceEvent(req.TraceID, "dedup", w0, time.Since(w0), map[string]any{"verdict": "shared"})
-				return &Response{
-					Outcome:    OutcomeSolved,
-					Winner:     f.entry.Winner,
-					Offsets:    offsets,
-					LowerBound: buffers.Contention(q).Peak(),
-					Memory:     q.Memory,
-					Deduped:    true,
-					Elapsed:    time.Since(t0),
-					Trace:      &telamalloc.DecisionTrace{Winner: f.entry.Winner, Shape: fp.ShapeKey, Offsets: f.entry.Offsets},
-				}, nil
+				return resp, nil
 			}
 		}
 		s.traceEvent(req.TraceID, "dedup", w0, time.Since(w0), map[string]any{"verdict": "cold"})

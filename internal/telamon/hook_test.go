@@ -6,11 +6,20 @@ import (
 	"telamalloc/internal/workload"
 )
 
-// allUnplaced is the minimal policy: framework-default candidates, solver
-// placement, default backtracks.
+// minimalPolicy is the minimal policy: unplaced buffers in ID order, one
+// per batch, solver placement, default backtracks.
 type minimalPolicy struct{}
 
-func (minimalPolicy) Candidates(st *State) (picks, tail []int) { return nil, nil }
+// Candidates hands out the first unplaced buffer at or after the cursor's
+// ID; the cursor after it is the next ID, never 0.
+func (minimalPolicy) Candidates(st *State, cursor int, dst []int) ([]int, int) {
+	for b := cursor; b < len(st.Prob.Buffers); b++ {
+		if !st.Model.Placed(b) {
+			return append(dst, b), b + 1
+		}
+	}
+	return dst, -1
+}
 func (minimalPolicy) Placement(st *State, buf int) (int64, bool) {
 	return st.Model.LowestFeasible(buf)
 }

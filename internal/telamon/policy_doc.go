@@ -7,19 +7,20 @@ package telamon
 //
 // The framework calls the policy at three moments:
 //
-//  1. Candidates — once per new decision point. The policy inspects the
-//     live state (placed buffers, solver bounds, phase structure) and
-//     returns its picks plus an optional shared fallback tail. A
-//     LazyPolicy hands out further picks through MorePicks, one batch per
-//     call, which the framework pulls only when it has walked every pick
-//     so far — while trying candidates or building a promotion — and only
-//     while the model is at that decision point's placement prefix. The
-//     framework walks the picks, then the tail's entries that are neither
-//     placed nor picked, across minor backtracks, and may later replace
-//     the queue with promoted candidates from deeper, failed decision
-//     points. A static tail and lazy batches let a policy build its
-//     orders once per problem and open each decision point in O(picks),
-//     paying for a later batch only when the search gets to it.
+//  1. Candidates — once when a decision point opens (cursor 0), then once
+//     per later batch. The policy inspects the live state (placed buffers,
+//     solver bounds, phase structure) and appends a batch of candidates,
+//     returning the cursor for the next batch or a negative cursor after
+//     the last. The framework pulls a later batch only when it has walked
+//     every candidate so far — while trying candidates or building a
+//     promotion — and only while the model is at that decision point's
+//     placement prefix, so the batches joined read as one eager queue. It
+//     walks that queue across minor backtracks and may later replace it
+//     with promoted candidates from deeper, failed decision points. Batches
+//     let a policy build its orders once per problem and open each decision
+//     point in O(picks), paying for a later batch only when the search gets
+//     to it. The framework adds no candidate of its own: a point whose
+//     batches hold none is exhausted.
 //
 //  2. Placement — once per candidate attempt. The policy converts a buffer
 //     ID into a concrete position; ok=false marks the candidate dead

@@ -68,19 +68,13 @@ func (s Status) String() string {
 // any), and bookkeeping for smart backtracking.
 type DecisionPoint struct {
 	// Queue holds candidate buffer IDs in the order the policy wants them
-	// tried: the policy's picks, followed by the lazy picks pulled so far,
-	// or after a candidate promotion the merged queue.
+	// tried: the policy's batches pulled so far, or after a candidate
+	// promotion the merged queue.
 	Queue []int
-	// more is the cursor of the policy's lazy source (see LazyPolicy) for
-	// the next batch of picks, or negative once no batch follows. Without
-	// a lazy source it is unused.
+	// more is the policy's cursor for the next batch, or negative once no
+	// batch follows.
 	more int
-	// tail is the policy's shared, read-only fallback order, tried after
-	// every pick. Its entries that are placed or among the picks in Queue
-	// are not candidates here; a promotion materialises what it keeps of
-	// the tail into Queue and drops it.
-	tail []int
-	// Next indexes the first untried position of Queue followed by tail.
+	// Next indexes the first untried position of Queue.
 	Next int
 	// tried records candidates already attempted at this decision point.
 	// The state a decision point sees is exactly the placement prefix below
@@ -119,17 +113,18 @@ func (st *State) Depth() int { return len(st.Stack) }
 
 // Policy supplies the domain knowledge for the search.
 type Policy interface {
-	// Candidates returns the ordered candidates for a new decision point
-	// in two parts. picks is tried first, in order; the decision point
-	// owns it from then on. tail is a fallback order of distinct buffer
-	// IDs tried after the picks, minus the entries that are placed or
-	// among the picks. The tail is shared, not copied: the policy must
-	// never modify it afterwards, which lets one order built per problem
-	// serve every decision point at O(1) cost. A LazyPolicy's further
-	// picks come between the two. Returning no picks and no tail, with no
-	// lazy pick either, lets the framework fall back to all unplaced
-	// buffers in ID order.
-	Candidates(st *State) (picks, tail []int)
+	// Candidates appends the next batch of a decision point's candidates
+	// to dst and returns it with the cursor for the batch after, or with a
+	// negative cursor when this batch was the last. Cursor 0 opens the
+	// point, before it is pushed onto the stack, with dst nil; the point
+	// owns what that call returns. Later cursors are whatever the previous
+	// call returned, opaque to the framework and never 0. The framework
+	// asks for a later batch only once it has walked every candidate so
+	// far, and only while the model is at the point's own placement prefix
+	// — the point is on top of the stack and uncommitted — so the batches
+	// joined read as one eager queue. Batches may be empty; a point whose
+	// batches hold no candidate is exhausted.
+	Candidates(st *State, cursor int, dst []int) ([]int, int)
 	// Placement chooses the position to try for buf in the current state.
 	// Returning ok=false marks the candidate as dead at this point.
 	Placement(st *State, buf int) (pos int64, ok bool)
@@ -137,22 +132,6 @@ type Policy interface {
 	// stack index to resume at. Returning ok=false selects the framework's
 	// default (conflict-driven backjump when enabled, else a fixed hop).
 	BacktrackTarget(st *State, exhausted *DecisionPoint) (target int, ok bool)
-}
-
-// LazyPolicy is a Policy that hands out a decision point's picks in
-// batches, on demand, instead of all at once from Candidates: a point that
-// commits one of its first picks never pays for the rest.
-type LazyPolicy interface {
-	Policy
-	// MorePicks appends the decision point's next batch of picks to dst
-	// and returns it with the cursor for the batch after, or with a
-	// negative cursor when this batch was the last. The cursor is opaque
-	// to the framework: 0 right after Candidates, then whatever the
-	// previous call returned. The framework calls it only while the model
-	// is at the decision point's own placement prefix — the point is on
-	// top of the stack and uncommitted — so the batches, joined after the
-	// Candidates picks, read as one eager queue. Batches may be empty.
-	MorePicks(st *State, cursor int, dst []int) ([]int, int)
 }
 
 // Options tunes the framework mechanics.
@@ -262,7 +241,6 @@ func Search(p *buffers.Problem, ov *buffers.Overlaps, policy Policy, opts Option
 		st.PlacedLevel[i] = -1
 	}
 	s := &searcher{st: st, policy: policy, opts: opts}
-	s.lazy, _ = policy.(LazyPolicy)
 	res := s.run()
 	if opts.OnSample != nil {
 		// Final flush: whatever the stride did not report yet, so sampled
@@ -279,7 +257,6 @@ func Search(p *buffers.Problem, ov *buffers.Overlaps, policy Policy, opts Option
 type searcher struct {
 	st     *State
 	policy Policy
-	lazy   LazyPolicy // policy's lazy source, nil when it has none
 	opts   Options
 	// checks counts outOfBudget calls; deadline and cancellation are
 	// polled on a stride of it. Polling on Stats.Steps is wrong: Steps
@@ -293,12 +270,8 @@ type searcher struct {
 	stop Status
 	// sampled is the step count already reported through opts.OnSample.
 	sampled int64
-	// ids is the ID-order fallback tail, built on first use.
-	ids []int
-	// picks and merged are scratch sets for candidate promotion: the picks
-	// of the decision point whose tail is being walked, and the promoted
-	// queue under construction.
-	picks, merged idSet
+	// merged is the scratch set of the promoted queue under construction.
+	merged idSet
 }
 
 // budgetPollStride is how many outOfBudget calls pass between time/cancel
@@ -386,54 +359,41 @@ func (s *searcher) top() *DecisionPoint {
 
 func (s *searcher) openDecisionPoint() *DecisionPoint {
 	st := s.st
-	picks, tail := s.policy.Candidates(st)
-	dp := &DecisionPoint{Queue: picks, tail: tail, Placed: -1, tried: make(map[int]bool)}
+	queue, more := s.policy.Candidates(st, 0, nil)
+	dp := &DecisionPoint{Queue: queue, more: more, Placed: -1, tried: make(map[int]bool)}
 	st.Stack = append(st.Stack, dp)
-	// The ID-order fallback is for a point with no candidate source at
-	// all, so an empty Candidates result first asks the lazy source.
-	for len(dp.Queue) == 0 && len(dp.tail) == 0 && s.pull(dp) {
-	}
-	if len(dp.Queue) == 0 && len(dp.tail) == 0 {
-		if s.ids == nil {
-			s.ids = make([]int, len(st.Prob.Buffers))
-			for i := range s.ids {
-				s.ids[i] = i
-			}
-		}
-		dp.tail = s.ids
-	}
 	if d := len(st.Stack); d > st.Stats.MaxDepth {
 		st.Stats.MaxDepth = d
 	}
 	return dp
 }
 
-// pull appends dp's next batch of lazy picks to its queue and reports
-// whether dp had a batch left to ask for. Every consumer of lazy picks goes
-// through it, and only while the model is at dp's placement prefix.
+// pull appends dp's next batch to its queue and reports whether dp had a
+// batch left to ask for. Every consumer of later batches goes through it,
+// and only while the model is at dp's placement prefix.
 func (s *searcher) pull(dp *DecisionPoint) bool {
-	if s.lazy == nil || dp.more < 0 {
+	if dp.more < 0 {
 		return false
 	}
-	dp.Queue, dp.more = s.lazy.MorePicks(s.st, dp.more, dp.Queue)
+	dp.Queue, dp.more = s.policy.Candidates(s.st, dp.more, dp.Queue)
 	return true
 }
 
 // tryCandidates attempts candidates until one commits. Returns true on a
-// successful placement. The budget is checked once per queue entry and
-// once per tail entry that is a candidate here, exactly as if the lazy
-// picks and the tail's candidates had been appended to the queue when the
-// point opened.
+// successful placement. The budget is checked once per queue entry, exactly
+// as if every batch had been appended to the queue when the point opened.
 func (s *searcher) tryCandidates(dp *DecisionPoint) bool {
 	st := s.st
 	for {
-		if dp.Next >= len(dp.Queue) && !s.skipTail(dp) {
-			return false
+		for dp.Next >= len(dp.Queue) {
+			if !s.pull(dp) {
+				return false
+			}
 		}
 		if s.outOfBudget() {
 			return false
 		}
-		buf := dp.at(dp.Next)
+		buf := dp.Queue[dp.Next]
 		dp.Next++
 		if st.Model.Placed(buf) || dp.tried[buf] {
 			continue
@@ -462,45 +422,9 @@ func (s *searcher) tryCandidates(dp *DecisionPoint) bool {
 	}
 }
 
-// at returns the candidate at position i of dp's queue followed by its
-// tail.
-func (dp *DecisionPoint) at(i int) int {
-	if i < len(dp.Queue) {
-		return dp.Queue[i]
-	}
-	return dp.tail[i-len(dp.Queue)]
-}
-
-// skipTail is reached when dp.Next has run past the queue. It first pulls
-// lazy picks until one lies at dp.Next; with the lazy source dry, it
-// advances dp.Next, which then lies in the tail, past the entries that are
-// not candidates here, and reports whether a candidate remains. Once the
-// walk reaches the tail every pick has been walked, so a pick is either
-// placed or tried, and no tail entry is tried before it is walked (the
-// tail's entries are distinct): "placed or tried" is exactly "placed or a
-// pick". The placed set is the one the point opened with, since a decision
-// point only ever runs at its own placement prefix.
-func (s *searcher) skipTail(dp *DecisionPoint) bool {
-	for dp.Next >= len(dp.Queue) && s.pull(dp) {
-	}
-	if dp.Next < len(dp.Queue) {
-		return true
-	}
-	for i := dp.Next - len(dp.Queue); i < len(dp.tail); i++ {
-		if b := dp.tail[i]; !s.st.Model.Placed(b) && !dp.tried[b] {
-			dp.Next = len(dp.Queue) + i
-			return true
-		}
-	}
-	dp.Next = len(dp.Queue) + len(dp.tail)
-	return false
-}
-
 // candidates calls yield on dp's candidates from position from on, in
-// order — its queue, its lazy picks as they are pulled, then the tail
-// entries that are unplaced and not among the picks — until yield returns
-// false. It reads the live placed set, so it must run while the model is
-// at dp's placement prefix.
+// order, pulling batches as it goes, until yield returns false. It must run
+// while the model is at dp's placement prefix.
 func (s *searcher) candidates(dp *DecisionPoint, from int, yield func(int) bool) {
 	for {
 		for ; from < len(dp.Queue); from++ {
@@ -509,18 +433,6 @@ func (s *searcher) candidates(dp *DecisionPoint, from int, yield func(int) bool)
 			}
 		}
 		if !s.pull(dp) {
-			break
-		}
-	}
-	if from >= len(dp.Queue)+len(dp.tail) {
-		return
-	}
-	s.picks.reset(len(s.st.Prob.Buffers))
-	for _, b := range dp.Queue {
-		s.picks.add(b)
-	}
-	for _, b := range dp.tail[from-len(dp.Queue):] {
-		if !s.st.Model.Placed(b) && !s.picks.has(b) && !yield(b) {
 			return
 		}
 	}
@@ -621,10 +533,10 @@ func (s *searcher) conflictTarget(c *cp.Conflict) (int, bool) {
 // Options.MaxCandidatesPerLevel: the failed candidates are tried again
 // under the shallower prefix (§5.4). Candidates the target has already
 // tried would fail identically (same placement prefix) and are dropped.
-// Only what the cap keeps is materialised, lazy picks included: the
-// promoted part is read under the exhausted point's placements, before
-// unwinding, and the rest under the target's, after; the merged queue
-// replaces the target's lazy picks and tail.
+// Only the batches the cap reaches are pulled: the promoted part is read
+// under the exhausted point's placements, before unwinding, and the rest
+// under the target's, after; the merged queue replaces the target's
+// remaining batches.
 func (s *searcher) promote(exhausted *DecisionPoint, target int) {
 	st := s.st
 	dp := st.Stack[target]
@@ -653,7 +565,7 @@ func (s *searcher) promote(exhausted *DecisionPoint, target int) {
 			return len(queue) < limit
 		})
 	}
-	dp.Queue, dp.more, dp.tail, dp.Next = queue, -1, nil, 0
+	dp.Queue, dp.more, dp.Next = queue, -1, 0
 }
 
 // unwindTo pops decision points above target, undoing their placements and
@@ -703,8 +615,6 @@ func (s *idSet) reset(n int) {
 		s.gen = 1
 	}
 }
-
-func (s *idSet) has(b int) bool { return s.mark[b] == s.gen }
 
 // add inserts b and reports whether it was new.
 func (s *idSet) add(b int) bool {

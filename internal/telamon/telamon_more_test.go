@@ -94,7 +94,7 @@ type capProbe struct {
 	t   *testing.T
 }
 
-func (cp *capProbe) Candidates(st *State) (picks, tail []int) {
+func (cp *capProbe) Candidates(st *State, cursor int, dst []int) ([]int, int) {
 	// The framework caps queues only when *promoting* candidates on a major
 	// backtrack; initial queues are the policy's responsibility. With this
 	// policy returning at most `max` candidates, any longer queue would
@@ -104,11 +104,11 @@ func (cp *capProbe) Candidates(st *State) (picks, tail []int) {
 			cp.t.Errorf("queue length %d exceeds cap %d", len(dp.Queue), cp.max)
 		}
 	}
-	out, _ := cp.idOrderPolicy.Candidates(st)
+	out, _ := cp.idOrderPolicy.Candidates(st, cursor, dst)
 	if len(out) > cp.max {
 		out = out[:cp.max]
 	}
-	return out, nil
+	return out, -1
 }
 
 func TestDisablePromotionStillTerminates(t *testing.T) {

@@ -10,17 +10,17 @@ import (
 	"telamalloc/internal/cp"
 )
 
-// idOrderPolicy is a minimal policy: candidates in ID order, placement at
-// the solver's lowest feasible position, default backjumps.
+// idOrderPolicy is a minimal policy: candidates in ID order, in one batch,
+// placement at the solver's lowest feasible position, default backjumps.
 type idOrderPolicy struct{}
 
-func (idOrderPolicy) Candidates(st *State) (picks, tail []int) {
+func (idOrderPolicy) Candidates(st *State, _ int, dst []int) ([]int, int) {
 	for i := range st.Prob.Buffers {
 		if !st.Model.Placed(i) {
-			picks = append(picks, i)
+			dst = append(dst, i)
 		}
 	}
-	return picks, nil
+	return dst, -1
 }
 
 func (idOrderPolicy) Placement(st *State, buf int) (int64, bool) {
@@ -185,48 +185,48 @@ func TestPolicyBacktrackOverrideIsConsulted(t *testing.T) {
 
 // promoted runs one candidate promotion from an exhausted point holding
 // promoted to a committed target holding rest, both handed over as how
-// says: as picks, as a shared tail, or as lazy batches of one. It returns
-// the target's merged queue and the number of lazy batches pulled.
+// says: as queues, or as batches of one. It returns the target's merged
+// queue and the number of batches pulled.
 func promoted(t *testing.T, promoted, rest []int, how string, limit int) ([]int, int) {
 	p := &buffers.Problem{Memory: 64}
 	for i := 0; i < 8; i++ {
 		p.Buffers = append(p.Buffers, buffers.Buffer{Start: 0, End: 1, Size: 1})
 	}
 	p.Normalize()
+	src := &batchSource{t: t, probe: 7}
 	s := &searcher{
-		st:   &State{Model: cp.NewModel(p, nil), Prob: p, PlacedLevel: make([]int, len(p.Buffers))},
-		opts: Options{MaxCandidatesPerLevel: limit},
+		st:     &State{Model: cp.NewModel(p, nil), Prob: p, PlacedLevel: make([]int, len(p.Buffers))},
+		policy: src,
+		opts:   Options{MaxCandidatesPerLevel: limit},
 	}
 	// The target committed buffer 7, so the exhausted point's prefix has
 	// it placed and the target's own prefix does not.
-	target := &DecisionPoint{Placed: 7, tried: map[int]bool{}}
+	target := &DecisionPoint{Placed: 7, tried: map[int]bool{}, more: -1}
 	s.st.Model.Push()
 	if c := s.st.Model.Place(7, 0); c != nil {
 		t.Fatal(c)
 	}
-	exhausted := &DecisionPoint{Placed: -1, tried: map[int]bool{}}
+	exhausted := &DecisionPoint{Placed: -1, tried: map[int]bool{}, more: -1}
 	s.st.Stack = []*DecisionPoint{target, exhausted}
-	src := &batchSource{t: t, probe: 7,
-		picks:  map[*DecisionPoint][]int{target: rest, exhausted: promoted},
-		placed: map[*DecisionPoint]bool{exhausted: true}}
+	src.picks = map[*DecisionPoint][]int{target: rest, exhausted: promoted}
+	src.placed = map[*DecisionPoint]bool{exhausted: true}
 	switch how {
-	case "picks":
+	case "queue":
 		target.Queue, exhausted.Queue = rest, promoted
-	case "tail":
-		target.tail, exhausted.Queue = rest, promoted
-	case "lazy":
-		s.lazy = src
+	case "batches":
+		target.more, exhausted.more = 1, 1
 	}
 	s.promote(exhausted, 0)
-	if target.tail != nil || target.Next != 0 || (how == "lazy" && target.more >= 0) {
+	if target.Next != 0 || target.more >= 0 {
 		t.Fatalf("%s: promotion must leave a materialised queue", how)
 	}
 	return target.Queue, src.pulls
 }
 
-// batchSource is a lazy source handing out each decision point's picks one
-// per batch. It checks that every pull runs at the point's own placement
-// prefix: with the probe buffer placed exactly where placed says.
+// batchSource hands out each decision point's candidates one per batch,
+// the cursor being one past the next one's index. It checks that every
+// pull runs at the point's own placement prefix: with the probe buffer
+// placed exactly where placed says.
 type batchSource struct {
 	idOrderPolicy
 	t      *testing.T
@@ -236,21 +236,21 @@ type batchSource struct {
 	pulls  int
 }
 
-func (b *batchSource) MorePicks(st *State, cursor int, dst []int) ([]int, int) {
+func (b *batchSource) Candidates(st *State, cursor int, dst []int) ([]int, int) {
 	dp := st.Stack[len(st.Stack)-1]
 	if st.Model.Placed(b.probe) != b.placed[dp] {
 		b.t.Errorf("pull outside the decision point's prefix: buffer %d placed = %v", b.probe, !b.placed[dp])
 	}
 	list := b.picks[dp]
-	if cursor >= len(list) {
+	if cursor > len(list) {
 		return dst, -1
 	}
 	b.pulls++
-	return append(dst, list[cursor]), cursor + 1
+	return append(dst, list[cursor-1]), cursor + 1
 }
 
 func TestMergeQueues(t *testing.T) {
-	for _, how := range []string{"picks", "tail", "lazy"} {
+	for _, how := range []string{"queue", "batches"} {
 		got, _ := promoted(t, []int{3, 1, 3}, []int{1, 2, 4}, how, 10)
 		if want := []int{3, 1, 2, 4}; !slices.Equal(got, want) {
 			t.Fatalf("%s: merged = %v, want %v", how, got, want)
@@ -259,63 +259,43 @@ func TestMergeQueues(t *testing.T) {
 		if want := []int{1, 2}; !slices.Equal(got, want) {
 			t.Errorf("%s: cap ignored: merged = %v, want %v", how, got, want)
 		}
-		if how == "lazy" && pulls != 2 {
-			t.Errorf("lazy: %d batches pulled for a cap of 2, want only the 2 kept", pulls)
+		if how == "batches" && pulls != 2 {
+			t.Errorf("batches: %d batches pulled for a cap of 2, want only the 2 kept", pulls)
 		}
 	}
 }
 
-// A point whose Candidates are empty but whose lazy source is not must
-// search its lazy picks only: the ID-order fallback is for a point with no
-// candidates at all. Here the root's only lazy pick, buffer 2, behind an
-// empty batch, is dead, so the search must stop after one step.
-func TestLazySourceSuppressesIDFallback(t *testing.T) {
-	p := &buffers.Problem{Memory: 8}
-	for i := 0; i < 3; i++ {
-		p.Buffers = append(p.Buffers, buffers.Buffer{Start: 0, End: 5, Size: 2})
-	}
-	p.Normalize()
-	var tried []int
-	pol := lazyFuncPolicy{
-		funcPolicy: funcPolicy{
-			cands: func(*State) ([]int, []int) { return nil, nil },
-			place: func(_ *State, b int) (int64, bool) { tried = append(tried, b); return 0, false },
-			back:  idOrderPolicy{}.BacktrackTarget,
-		},
-		more: func(_ *State, cursor int, dst []int) ([]int, int) {
-			if cursor == 0 {
-				return dst, 1 // an empty batch first
+// A point whose batches hold no candidate is exhausted: the framework adds
+// no candidate of its own. Here every batch is empty, so the root point is
+// exhausted before any step, after pulling each batch once.
+func TestEmptyBatchesExhaustWithoutSteps(t *testing.T) {
+	p := hardInstance(1, 6)
+	var cursors []int
+	pol := funcPolicy{
+		cands: func(_ *State, cursor int, dst []int) ([]int, int) {
+			cursors = append(cursors, cursor)
+			if cursor < 2 {
+				return dst, cursor + 1
 			}
-			return append(dst, 2), -1
+			return dst, -1
 		},
+		place: idOrderPolicy{}.Placement,
+		back:  idOrderPolicy{}.BacktrackTarget,
 	}
 	res := Search(p, nil, pol, Options{})
-	if res.Status != Exhausted || !slices.Equal(tried, []int{2}) {
-		t.Fatalf("%v after trying %v, want exhausted after trying only [2]", res.Status, tried)
+	if res.Status != Exhausted || res.Stats.Steps != 0 {
+		t.Fatalf("%v after %d steps, want exhausted after 0", res.Status, res.Stats.Steps)
 	}
-	// Without a lazy pick the ID-order fallback applies.
-	tried = nil
-	pol.more = func(_ *State, _ int, dst []int) ([]int, int) { return dst, -1 }
-	Search(p, nil, pol, Options{})
-	if !slices.Equal(tried, []int{0, 1, 2}) {
-		t.Fatalf("tried %v, want the ID-order fallback [0 1 2]", tried)
+	if want := []int{0, 1, 2}; !slices.Equal(cursors, want) {
+		t.Fatalf("cursors %v, want %v", cursors, want)
 	}
 }
 
-type lazyFuncPolicy struct {
-	funcPolicy
-	more func(*State, int, []int) ([]int, int)
-}
-
-func (f lazyFuncPolicy) MorePicks(st *State, cursor int, dst []int) ([]int, int) {
-	return f.more(st, cursor, dst)
-}
-
-// Lazy picks must search exactly like the same picks handed over eagerly,
-// through minor and major backtracks and capped promotions: same attempts
-// in the same order, same stats, offsets and budget checks. Each point's
-// picks depend on its placement prefix, so a batch pulled under another
-// point's prefix would change the search.
+// Batched candidates must search exactly like the same candidates handed
+// over as one batch, through minor and major backtracks and capped
+// promotions: same attempts in the same order, same stats, offsets and
+// budget checks. Each point's candidates depend on its placement prefix,
+// so a batch pulled under another point's prefix would change the search.
 func TestLazyPicksMatchEagerQueue(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		p := hardInstance(seed, 12)
@@ -343,12 +323,11 @@ func TestLazyPicksMatchEagerQueue(t *testing.T) {
 
 // prefixPolicy orders each point's unplaced buffers by a hash of its
 // placement prefix and hands them out as picks, just the first three when
-// withTail, followed by the reverse-ID tail. Eager, Candidates returns
-// every pick; lazy, it returns at most one and MorePicks the rest, two per
-// batch.
+// withTail, followed by the other unplaced buffers in reverse ID order.
+// Eager, the opening batch holds every candidate; lazy, it holds at most
+// one, and later batches hand out two picks or one tail entry each.
 func prefixPolicy(t *testing.T, lazy, withTail bool, tried *[]int) Policy {
-	var reverse []int
-	picks := func(st *State) (picks []int, first int) {
+	queue := func(st *State) (all []int, picks, first int) {
 		var h int
 		for _, dp := range st.Stack {
 			if dp.Placed >= 0 {
@@ -357,114 +336,47 @@ func prefixPolicy(t *testing.T, lazy, withTail bool, tried *[]int) Policy {
 		}
 		for b := range st.Prob.Buffers {
 			if !st.Model.Placed(b) {
-				picks = append(picks, b)
+				all = append(all, b)
 			}
 		}
-		slices.SortStableFunc(picks, func(a, b int) int { return (a*31+h)%97 - (b*31+h)%97 })
-		if withTail && len(picks) > 3 {
-			picks = picks[:3]
+		slices.SortStableFunc(all, func(a, b int) int { return (a*31+h)%97 - (b*31+h)%97 })
+		picks = len(all)
+		if withTail && picks > 3 {
+			picks = 3
+			tail := all[picks:]
+			slices.Sort(tail)
+			slices.Reverse(tail)
 		}
-		return picks, min(len(picks), h%2)
+		return all, picks, min(picks, h%2)
 	}
-	pol := lazyFuncPolicy{funcPolicy: funcPolicy{
+	return funcPolicy{
+		cands: func(st *State, cursor int, dst []int) ([]int, int) {
+			all, picks, first := queue(st)
+			if !lazy {
+				return append(dst, all...), -1
+			}
+			from, to := 0, first
+			if cursor > 0 {
+				if top := st.Stack[len(st.Stack)-1]; top.Placed >= 0 {
+					t.Errorf("pull for a committed decision point")
+				}
+				from = cursor - 1
+				to = min(from+2, picks)
+				if from >= picks {
+					to = from + 1
+				}
+			}
+			dst = append(dst, all[from:to]...)
+			if to == len(all) {
+				return dst, -1
+			}
+			return dst, to + 1
+		},
 		place: func(st *State, b int) (int64, bool) {
 			*tried = append(*tried, b)
 			return st.Model.LowestFeasible(b)
 		},
 		back: idOrderPolicy{}.BacktrackTarget,
-	}}
-	tail := func(st *State) []int {
-		if !withTail {
-			return nil
-		}
-		if reverse == nil {
-			for b := len(st.Prob.Buffers) - 1; b >= 0; b-- {
-				reverse = append(reverse, b)
-			}
-		}
-		return reverse
-	}
-	pol.cands = func(st *State) ([]int, []int) {
-		all, first := picks(st)
-		if lazy {
-			all = all[:first]
-		}
-		return all, tail(st)
-	}
-	if !lazy {
-		return pol.funcPolicy
-	}
-	pol.more = func(st *State, cursor int, dst []int) ([]int, int) {
-		if top := st.Stack[len(st.Stack)-1]; top.Placed >= 0 {
-			t.Errorf("pull for a committed decision point")
-		}
-		all, first := picks(st)
-		from := first + cursor
-		to := min(from+2, len(all))
-		dst = append(dst, all[from:to]...)
-		if to == len(all) {
-			return dst, -1
-		}
-		return dst, cursor + 2
-	}
-	return pol
-}
-
-// A policy's lazy tail must search exactly like the same candidates handed
-// over eagerly: same stats, same offsets, same number of budget checks.
-func TestLazyTailMatchesEagerQueue(t *testing.T) {
-	ids := func(st *State) []int {
-		out := make([]int, len(st.Prob.Buffers))
-		for i := range out {
-			out[i] = len(out) - 1 - i // reverse ID order
-		}
-		return out
-	}
-	eager := funcPolicy{
-		cands: func(st *State) ([]int, []int) {
-			var q []int
-			for _, b := range ids(st) {
-				if !st.Model.Placed(b) {
-					q = append(q, b)
-				}
-			}
-			return q, nil
-		},
-		place: idOrderPolicy{}.Placement,
-		back:  idOrderPolicy{}.BacktrackTarget,
-	}
-	// The lazy policy picks the first two candidates and leaves the rest,
-	// picks included, to the tail.
-	lazy := eager
-	lazy.cands = func(st *State) ([]int, []int) {
-		q, _ := eager.cands(st)
-		if len(q) > 2 {
-			q = q[:2]
-		}
-		return q, ids(st)
-	}
-	for seed := int64(0); seed < 8; seed++ {
-		p := hardInstance(seed, 12)
-		for _, opts := range []Options{{MaxSteps: 20000}, {MaxSteps: 20000, MaxCandidatesPerLevel: 3}, {MaxSteps: 20000, DisablePromotion: true}} {
-			var runs [2]Result
-			var checks [2]int
-			for i, pol := range []Policy{eager, lazy} {
-				o := opts
-				o.TestHook = func() bool { checks[i]++; return false }
-				runs[i] = Search(p, nil, pol, o)
-			}
-			if runs[0].Stats != runs[1].Stats || runs[0].Status != runs[1].Status || checks[0] != checks[1] {
-				t.Fatalf("seed %d %+v: eager %v %+v (%d checks), lazy %v %+v (%d checks)", seed, opts,
-					runs[0].Status, runs[0].Stats, checks[0], runs[1].Status, runs[1].Stats, checks[1])
-			}
-			if runs[0].Status == Solved {
-				for b, off := range runs[0].Solution.Offsets {
-					if runs[1].Solution.Offsets[b] != off {
-						t.Fatalf("seed %d: offsets differ at buffer %d", seed, b)
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -519,12 +431,14 @@ func TestConflictSurfacedToDecisionPoint(t *testing.T) {
 }
 
 type funcPolicy struct {
-	cands func(*State) ([]int, []int)
+	cands func(*State, int, []int) ([]int, int)
 	place func(*State, int) (int64, bool)
 	back  func(*State, *DecisionPoint) (int, bool)
 }
 
-func (f funcPolicy) Candidates(st *State) ([]int, []int)      { return f.cands(st) }
+func (f funcPolicy) Candidates(st *State, cursor int, dst []int) ([]int, int) {
+	return f.cands(st, cursor, dst)
+}
 func (f funcPolicy) Placement(st *State, b int) (int64, bool) { return f.place(st, b) }
 func (f funcPolicy) BacktrackTarget(st *State, dp *DecisionPoint) (int, bool) {
 	return f.back(st, dp)

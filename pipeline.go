@@ -91,7 +91,9 @@ func WithMaxSpills(n int) Option {
 
 // WithSpillCosts sets per-buffer spill weights and pin flags for the spill
 // stage: weights[i] is the cost of demoting buffer i (nil = its size), and
-// pinned[i] marks buffers that must stay on-chip (nil = none).
+// pinned[i] marks buffers that must stay on-chip (nil = none). A non-empty
+// slice whose length differs from the buffer count fails the call with
+// ErrInvalidProblem before any stage runs.
 func WithSpillCosts(weights []int64, pinned []bool) Option {
 	return func(c *config) {
 		c.pipe.weights = append([]int64(nil), weights...)
@@ -199,10 +201,18 @@ func AllocatePipeline(p Problem, opts ...Option) (PipelineResult, error) {
 // recording per-stage telemetry into pm.
 func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, error) {
 	pm.runs.Inc()
-	q := toInternal(p)
 	out := PipelineResult{Memory: p.Memory}
-	if err := q.Validate(); err != nil {
-		return out, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
+	q, err := validated(p)
+	if err != nil {
+		return out, err
+	}
+	// Spill costs of the wrong length are invalid whichever stage would
+	// win; WithSpillCosts stores an empty slice as nil.
+	if w := c.pipe.weights; w != nil && len(w) != len(q.Buffers) {
+		return out, fmt.Errorf("%w: spill: %d weights for %d buffers", ErrInvalidProblem, len(w), len(q.Buffers))
+	}
+	if pin := c.pipe.pinned; pin != nil && len(pin) != len(q.Buffers) {
+		return out, fmt.Errorf("%w: spill: %d pinned flags for %d buffers", ErrInvalidProblem, len(pin), len(q.Buffers))
 	}
 	out.LowerBound = buffers.Contention(q).Peak()
 
@@ -515,12 +525,6 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 			MaxSpills: lr.c.pipe.maxSpills,
 			Ctx:       lr.c.ctx,
 			Deadline:  deadline,
-		}
-		if req.Weights != nil && len(req.Weights) == 0 {
-			req.Weights = nil
-		}
-		if req.Pinned != nil && len(req.Pinned) == 0 {
-			req.Pinned = nil
 		}
 		plan, err := spill.Make(req)
 		if err != nil {

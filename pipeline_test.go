@@ -7,6 +7,7 @@ package telamalloc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -170,6 +171,34 @@ func TestPipelinePinnedSpillCosts(t *testing.T) {
 	}
 	if len(res.Spill.Spilled) != 1 || res.Spill.Spilled[0] != 1 {
 		t.Fatalf("plan %+v, want pinned buffer kept", res.Spill)
+	}
+}
+
+// Spill costs whose length differs from the buffer count are rejected
+// before any stage runs, whether an earlier stage would have won (the
+// feasible problem, which greedy solves) or the spill stage would have
+// used them (the infeasible one). Empty slices mean no costs.
+func TestPipelineSpillCostsLength(t *testing.T) {
+	for name, p := range map[string]Problem{"feasible": easyProblem(), "infeasible": infeasibleProblem()} {
+		n := len(p.Buffers)
+		for _, tc := range []struct {
+			opt  Option
+			want string
+		}{
+			{WithSpillCosts(make([]int64, n+1), nil), fmt.Sprintf("spill: %d weights for %d buffers", n+1, n)},
+			{WithSpillCosts(nil, make([]bool, n-1)), fmt.Sprintf("spill: %d pinned flags for %d buffers", n-1, n)},
+		} {
+			res, err := AllocatePipeline(p, tc.opt)
+			if !errors.Is(err, ErrInvalidProblem) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err %v, want ErrInvalidProblem with %q", name, err, tc.want)
+			}
+			if len(res.Stages) != 0 {
+				t.Errorf("%s: %d stage reports, want none before the ladder", name, len(res.Stages))
+			}
+		}
+		if _, err := AllocatePipeline(p, WithSpillCosts([]int64{}, []bool{})); err != nil {
+			t.Errorf("%s: empty spill costs: %v", name, err)
+		}
 	}
 }
 

@@ -106,6 +106,16 @@ func toInternal(p Problem) *buffers.Problem {
 	return q
 }
 
+// validated converts p and validates it: the preamble every public entry
+// point shares. An invalid problem's error wraps ErrInvalidProblem.
+func validated(p Problem) (*buffers.Problem, error) {
+	q := toInternal(p)
+	if err := q.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
+	}
+	return q, nil
+}
+
 // Allocate packs the problem's buffers into memory with TelaMalloc.
 // A nil error guarantees the returned solution is valid: every buffer in
 // bounds, aligned, and disjoint from temporal neighbours.
@@ -119,9 +129,9 @@ func Allocate(p Problem, opts ...Option) (Solution, Stats, error) {
 
 // allocateWith runs one allocation under an already-validated config.
 func allocateWith(cfg config, p Problem) (Solution, Stats, error) {
-	q := toInternal(p)
-	if err := q.Validate(); err != nil {
-		return Solution{}, Stats{}, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
+	q, err := validated(p)
+	if err != nil {
+		return Solution{}, Stats{}, err
 	}
 	if cfg.hint != nil {
 		// A valid replayed packing settles the call for the cost of one
@@ -170,9 +180,9 @@ func (sol Solution) PeakUsage(p Problem) int64 {
 // search but fails on tight instances; production systems try it first and
 // fall back to Allocate.
 func AllocateGreedy(p Problem) (Solution, error) {
-	q := toInternal(p)
-	if err := q.Validate(); err != nil {
-		return Solution{}, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
+	q, err := validated(p)
+	if err != nil {
+		return Solution{}, err
 	}
 	sol, err := heuristics.GreedyContention{}.Allocate(q)
 	if err != nil {
@@ -183,9 +193,9 @@ func AllocateGreedy(p Problem) (Solution, error) {
 
 // AllocateBestFit runs the timing-unaware best-fit baseline (BFC-style).
 func AllocateBestFit(p Problem) (Solution, error) {
-	q := toInternal(p)
-	if err := q.Validate(); err != nil {
-		return Solution{}, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
+	q, err := validated(p)
+	if err != nil {
+		return Solution{}, err
 	}
 	sol, err := heuristics.BestFit{}.Allocate(q)
 	if err != nil {
@@ -199,9 +209,9 @@ func AllocateBestFit(p Problem) (Solution, error) {
 // (ErrNoSolution), or gives up at the budget (ErrBudget). Exponential in
 // the worst case; intended for small instances and ground truth.
 func SolveExact(p Problem, maxSteps int64, timeout time.Duration) (Solution, error) {
-	q := toInternal(p)
-	if err := q.Validate(); err != nil {
-		return Solution{}, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
+	q, err := validated(p)
+	if err != nil {
+		return Solution{}, err
 	}
 	// Timeout, not Deadline: the ILP layer resolves it when the solve
 	// starts, so there is no skew between building the options and the
@@ -221,11 +231,15 @@ func SolveExact(p Problem, maxSteps int64, timeout time.Duration) (Solution, err
 // solver finds a packing, searching between the contention lower bound and
 // p.Memory.
 func MinimizeMemory(p Problem, maxSteps int64, timeout time.Duration) (int64, Solution, error) {
-	q := toInternal(p)
-	if err := q.Validate(); err != nil {
-		return 0, Solution{}, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
+	q, err := validated(p)
+	if err != nil {
+		return 0, Solution{}, err
 	}
 	opts := ilp.Options{MaxSteps: maxSteps}
+	// Deadline, not Timeout: the search probes one memory limit per exact
+	// solve, and ilp.Options.Timeout is resolved per probe, so it would
+	// give every probe the whole timeout. One deadline, resolved here,
+	// bounds the whole call.
 	if timeout > 0 {
 		opts.Deadline = time.Now().Add(timeout)
 	}
