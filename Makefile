@@ -158,13 +158,14 @@ diffsoak:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestScorecardRegression' ./internal/check
 
 ## cover: coverage floors for the verification subsystem, the exact
-## oracle it leans on, and the search framework — the checker is the last
-## line of defence, and every solve runs the framework's candidate stream,
+## oracle it leans on, the search framework and the CP engine — the checker
+## is the last line of defence, and every solve runs the framework's
+## candidate stream and the engine's propagation and conflict explanations,
 ## so their own test coverage is gated, not merely reported.
 cover:
-	@$(GO) test -cover ./internal/check ./internal/ilp ./internal/telamon | tee /tmp/telamalloc_cover.txt; \
+	@$(GO) test -cover ./internal/check ./internal/ilp ./internal/telamon ./internal/cp | tee /tmp/telamalloc_cover.txt; \
 	awk '{ for (i=1;i<=NF;i++) if ($$i=="coverage:") { c=$$(i+1); sub(/%/,"",c); \
-		floor = ($$2 ~ /internal\/check/) ? 80 : ($$2 ~ /internal\/telamon/) ? 90 : 85; \
+		floor = ($$2 ~ /internal\/check/) ? 80 : ($$2 ~ /internal\/(telamon|cp)$$/) ? 90 : 85; \
 		if (c+0 < floor) { printf "cover: %s at %s%% is below the %d%% floor\n", $$2, c, floor; bad=1 } } } \
 		END { exit bad }' /tmp/telamalloc_cover.txt
 

@@ -143,7 +143,7 @@ func sortStable(p *buffers.Problem, ids []int, order func(a, b buffers.Buffer) i
 func (tp *telaPolicy) Candidates(st *telamon.State, cursor int, dst []int) ([]int, int) {
 	tp.sync(st.Model)
 	if cursor == 0 {
-		return tp.open(st)
+		return tp.open(st, dst)
 	}
 	pos, fb := cursor>>1-1, cursor&1
 	if pos < len(tp.orders) {
@@ -172,21 +172,19 @@ func (tp *telaPolicy) Candidates(st *telamon.State, cursor int, dst []int) ([]in
 	return dst, -1
 }
 
-// open hands out a new decision point's first batch: the current phase's
-// picks, or with phases disabled the one entry's, which covers every
-// buffer and leaves no phase to walk.
-func (tp *telaPolicy) open(st *telamon.State) ([]int, int) {
+// open appends a new decision point's first batch to dst, the point's room
+// for three candidates: the current phase's picks, or with phases disabled
+// the one entry's, which covers every buffer and leaves no phase to walk.
+// Three is the most one phase gives, so opening a point allocates nothing.
+func (tp *telaPolicy) open(st *telamon.State, dst []int) ([]int, int) {
 	tp.opened++
 	cur, pos := 0, len(tp.orders)
 	if tp.groups != nil {
 		cur, pos = tp.currentPhase(st), 0
 	}
-	var picks []int
 	if cur >= 0 {
-		// The decision point owns its picks; three is the most one phase
-		// gives.
-		picks = tp.orders[cur].appendPicks(st.Model, make([]int, 0, 3))
-		tp.picked += len(picks)
+		dst = tp.orders[cur].appendPicks(st.Model, dst)
+		tp.picked += len(dst)
 	}
 	fb := 0
 	if tp.expensive(st) {
@@ -199,7 +197,7 @@ func (tp *telaPolicy) open(st *telamon.State) ([]int, int) {
 		// the call per decision point via Config.Gate.
 		fb = 1
 	}
-	return picks, cursorAt(pos, fb)
+	return dst, cursorAt(pos, fb)
 }
 
 // cursorAt encodes position pos and fallback bit fb as a cursor, never 0.

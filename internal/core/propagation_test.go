@@ -38,3 +38,33 @@ func TestFullOverlapWakeupGate(t *testing.T) {
 		}
 	}
 }
+
+// TestBacktrackingAllocGate: a search step costs at most one allocation
+// once the search backtracks. Both fixtures exhaust their step budget:
+// every step is in the backtracking regime, and the one-off set-up (CP
+// model, phase grouping, policy orders) is spread over 20,000 steps. A
+// reason-chain node per bound change, a fresh conflict per failed
+// placement, a reflective sort per placement query and a map per decision
+// point cost 12-17 allocations per step.
+func TestBacktrackingAllocGate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    *buffers.Problem
+	}{
+		{"alignment-hostile-40/s1", workload.AlignmentHostile(40, 1)},
+		{"Image Model 1/s3@100%", atPeakPct(workload.GenImageModel1(3), 100)},
+	} {
+		cfg := Config{MaxSteps: 20000, Parallelism: 1}
+		var res Result
+		allocs := testing.AllocsPerRun(1, func() { res = Solve(tc.p, cfg) })
+		if res.Status != telamon.Budget || res.Stats.Backtracks() == 0 {
+			t.Fatalf("%s: %v after %d steps and %d backtracks, want a budget-exhausting search",
+				tc.name, res.Status, res.Stats.Steps, res.Stats.Backtracks())
+		}
+		perStep := allocs / float64(res.Stats.Steps)
+		t.Logf("%s: %d steps, %.2f allocations per step", tc.name, res.Stats.Steps, perStep)
+		if perStep > 1 {
+			t.Errorf("%s: %.2f allocations per step, want at most 1", tc.name, perStep)
+		}
+	}
+}

@@ -3,7 +3,7 @@ package cp
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"telamalloc/internal/buffers"
@@ -54,7 +54,7 @@ func (ls *lockstep) place(buf int, pos int64) bool {
 	if ls.depth == 0 {
 		ls.push()
 	}
-	c := ls.m.Place(buf, pos)
+	c := snapshot(ls.m.Place(buf, pos))
 	ls.check(fmt.Sprintf("Place(%d, %d)", buf, pos), c, ls.ref.Place(buf, pos))
 	if c != nil {
 		ls.pop()
@@ -66,11 +66,22 @@ func (ls *lockstep) fixOrder(k int, o Order) {
 	if ls.depth == 0 {
 		ls.push()
 	}
-	c := ls.m.FixOrder(k, o)
+	c := snapshot(ls.m.FixOrder(k, o))
 	ls.check(fmt.Sprintf("FixOrder(%d, %v)", k, o), c, ls.ref.FixOrder(k, o))
 	if c != nil {
 		ls.pop()
 	}
+}
+
+// snapshot copies a conflict Model returned: the model owns it and the
+// next operation overwrites it.
+func snapshot(c *Conflict) *Conflict {
+	if c == nil {
+		return nil
+	}
+	dup := *c
+	dup.Placements = slices.Clone(c.Placements)
+	return &dup
 }
 
 func (ls *lockstep) check(op string, got, want *Conflict) {
@@ -86,7 +97,7 @@ func (ls *lockstep) diff(got, want *Conflict) error {
 	if (got == nil) != (want == nil) {
 		return fmt.Errorf("conflict %v, reference %v", got, want)
 	}
-	if got != nil && (got.Pair != want.Pair || got.Var != want.Var || !reflect.DeepEqual(got.Placements, want.Placements)) {
+	if got != nil && (got.Pair != want.Pair || got.Var != want.Var || !slices.Equal(got.Placements, want.Placements)) {
 		return fmt.Errorf("conflict %+v, reference %+v", *got, *want)
 	}
 	if m.Stats() != ref.Stats() {

@@ -12,18 +12,23 @@ package cp
 const explainBudget = 256
 
 // explainVar builds a conflict for a wipeout of variable v detected while
-// propagating pair pr.
+// propagating pair pr, in the model's conflict storage.
 func (m *Model) explainVar(pr Pair, v int32) *Conflict {
-	c := &Conflict{Pair: pr, Var: v}
-	c.Placements = m.collect(v, pr.A, pr.B)
-	return c
+	return m.explain(pr, v, v, pr.A, pr.B)
 }
 
 // explainPair builds a conflict for a dead disjunction (neither ordering of
-// pr is feasible).
+// pr is feasible), in the model's conflict storage.
 func (m *Model) explainPair(pr Pair) *Conflict {
-	c := &Conflict{Pair: pr, Var: -1}
-	c.Placements = m.collect(pr.A, pr.B)
+	return m.explain(pr, -1, pr.A, pr.B)
+}
+
+// explain overwrites the model's one conflict with pr, v and the placements
+// the seeds' reason chains reach, and returns it.
+func (m *Model) explain(pr Pair, v int32, seeds ...int32) *Conflict {
+	c := &m.conflict
+	c.Pair, c.Var = pr, v
+	c.Placements = m.collect(c.Placements[:0], seeds...)
 	return c
 }
 
@@ -35,11 +40,12 @@ type reasonWalk struct {
 	epoch    uint32
 }
 
-// collect gathers the IDs of placed buffers reachable through the reason
-// chains of the seed variables, breadth-first and deduplicated. The visited
-// set is an epoch stamp per variable and the frontier a slice kept on the
-// model, so a walk allocates only its result.
-func (m *Model) collect(seeds ...int32) []int {
+// collect appends to placements the IDs of placed buffers reachable through
+// the reason chains of the seed variables, breadth-first and deduplicated.
+// The visited set is an epoch stamp per variable and the frontier a slice
+// kept on the model, and the chains are links in the trail, so a walk
+// allocates nothing once its slices have grown.
+func (m *Model) collect(placements []int, seeds ...int32) []int {
 	w := m.walk
 	if w == nil {
 		w = &reasonWalk{seen: make([]uint32, len(m.placed))}
@@ -54,7 +60,6 @@ func (m *Model) collect(seeds ...int32) []int {
 	for _, s := range seeds {
 		w.visit(s)
 	}
-	var placements []int
 	budget := explainBudget
 	for i := 0; i < len(w.frontier) && budget > 0; i++ {
 		v := w.frontier[i]
@@ -64,12 +69,12 @@ func (m *Model) collect(seeds ...int32) []int {
 			// irrelevant to the explanation.
 			continue
 		}
-		for node := m.minReason[v]; node != nil && budget > 0; node = node.prev {
-			w.visit(node.by)
+		for i := m.minReason[v]; i >= 0 && budget > 0; i = m.trail[i].oldReason {
+			w.visit(m.trail[i].by)
 			budget--
 		}
-		for node := m.maxReason[v]; node != nil && budget > 0; node = node.prev {
-			w.visit(node.by)
+		for i := m.maxReason[v]; i >= 0 && budget > 0; i = m.trail[i].oldReason {
+			w.visit(m.trail[i].by)
 			budget--
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/intervals"
@@ -62,6 +63,13 @@ type Pair struct {
 // Conflict describes a propagation failure. Placements lists the IDs of
 // placed buffers whose positions (transitively) explain the failure — the
 // "backtrack reason" TelaMalloc's smart backtracking and ML policy consume.
+//
+// The model owns the conflicts it returns, so a failed placement allocates
+// nothing: a *Conflict from Place, FixOrder or Propagate is valid until the
+// next call to any of the three, which overwrites it. A caller that keeps
+// one longer keeps a copy. The root fixpoint's conflict is the exception:
+// the model keeps its own copy and returns it from every Place and
+// FixOrder.
 type Conflict struct {
 	// Pair is the disjunction whose propagation detected the wipeout.
 	Pair Pair
@@ -90,14 +98,6 @@ type Stats struct {
 	PairWakeups int64
 }
 
-// reasonNode forms an immutable chain of "which variable caused this bound"
-// breadcrumbs. Chains are persistent so that popping the trail can restore a
-// previous chain by pointer.
-type reasonNode struct {
-	by   int32 // variable whose bounds/placement triggered the tightening; -1 for decisions
-	prev *reasonNode
-}
-
 type trailKind uint8
 
 const (
@@ -107,11 +107,19 @@ const (
 	tPlaced
 )
 
+// trailEntry records one undoable change. A tMin or tMax entry is also a
+// link of its variable's reason chain, the "which variable caused this
+// bound" breadcrumbs conflict explanation walks: by is the variable whose
+// bounds or placement caused the change (-1 for a decision), and oldReason
+// the trail index of the chain's previous link (-1 ends the chain). A link
+// only points further down the trail, so popping the trail truncates every
+// chain consistently, and an entry holds no pointer for the GC to scan.
 type trailEntry struct {
 	kind      trailKind
 	idx       int32
 	old       int64
-	oldReason *reasonNode
+	by        int32
+	oldReason int32
 }
 
 // Model is the CP representation of one allocation problem. It is not safe
@@ -121,9 +129,11 @@ type Model struct {
 	ov   *buffers.Overlaps
 
 	posMin, posMax []int64
-	minReason      []*reasonNode
-	maxReason      []*reasonNode
-	placed         []bool
+	// minReason[v] and maxReason[v] are the trail indices of the latest
+	// change to v's bounds, the heads of v's reason chains; -1 for none.
+	minReason []int32
+	maxReason []int32
+	placed    []bool
 	// numPlaced counts the true entries of placed, so AllPlaced is O(1).
 	numPlaced int
 	// undone counts placements Pop has reverted over the model's lifetime;
@@ -146,9 +156,12 @@ type Model struct {
 	lowBits, upBits []uint64
 	gate            []varGate
 
-	// rootConflict is the conflict the root fixpoint ran into, if any;
-	// Place and FixOrder return it.
+	// rootConflict is a copy of the conflict the root fixpoint ran into, if
+	// any; Place and FixOrder return it.
 	rootConflict *Conflict
+	// conflict is the storage every other returned conflict lives in,
+	// overwritten by the next one.
+	conflict Conflict
 
 	trail  []trailEntry
 	levels []int
@@ -193,7 +206,10 @@ func NewModel(p *buffers.Problem, ov *buffers.Overlaps) *Model {
 	}
 	n := len(p.Buffers)
 	bounds := make([]int64, 2*n)
-	reasons := make([]*reasonNode, 2*n)
+	reasons := make([]int32, 2*n)
+	for i := range reasons {
+		reasons[i] = -1
+	}
 	m := &Model{
 		prob:      p,
 		ov:        ov,
@@ -253,7 +269,11 @@ func NewModel(p *buffers.Problem, ov *buffers.Overlaps) *Model {
 			m.queue = append(m.queue, int32(k))
 		}
 	}
-	m.rootConflict = m.Propagate()
+	if c := m.Propagate(); c != nil {
+		root := *c
+		root.Placements = slices.Clone(c.Placements)
+		m.rootConflict = &root
+	}
 	return m
 }
 
@@ -370,9 +390,8 @@ func (m *Model) setMin(v int32, val int64, by int32) bool {
 	if val <= old {
 		return true
 	}
-	m.trail = append(m.trail, trailEntry{tMin, v, old, m.minReason[v]})
+	m.minReason[v] = m.pushBound(tMin, v, old, by, m.minReason[v])
 	m.posMin[v] = val
-	m.minReason[v] = &reasonNode{by: by, prev: m.minReason[v]}
 	m.stats.Propagations++
 	if old == 0 {
 		m.countUnknown(v, +1, 0)
@@ -392,9 +411,8 @@ func (m *Model) setMax(v int32, val int64, by int32) bool {
 	if val >= old {
 		return true
 	}
-	m.trail = append(m.trail, trailEntry{tMax, v, old, m.maxReason[v]})
+	m.maxReason[v] = m.pushBound(tMax, v, old, by, m.maxReason[v])
 	m.posMax[v] = val
-	m.maxReason[v] = &reasonNode{by: by, prev: m.maxReason[v]}
 	m.stats.Propagations++
 	if old == m.gate[v].rootMax {
 		m.countUnknown(v, 0, +1)
@@ -406,8 +424,16 @@ func (m *Model) setMax(v int32, val int64, by int32) bool {
 	return true
 }
 
+// pushBound trails a change of v's bound of the given kind away from old,
+// caused by variable by, and returns the entry's index: the new head of the
+// bound's reason chain, whose previous head was prev.
+func (m *Model) pushBound(kind trailKind, v int32, old int64, by, prev int32) int32 {
+	m.trail = append(m.trail, trailEntry{kind: kind, idx: v, old: old, by: by, oldReason: prev})
+	return int32(len(m.trail) - 1)
+}
+
 func (m *Model) setOrder(k int32, o Order) {
-	m.trail = append(m.trail, trailEntry{tOrder, k, int64(m.order[k]), nil})
+	m.trail = append(m.trail, trailEntry{kind: tOrder, idx: k, old: int64(m.order[k])})
 	m.flipOrder(k, o, -1)
 	m.order[k] = o
 	m.stats.OrderFixes++
@@ -546,7 +572,7 @@ func (m *Model) Place(buf int, pos int64) *Conflict {
 		m.placed[buf] = true
 		m.numPlaced++
 	}
-	m.trail = append(m.trail, trailEntry{tPlaced, v, was, nil})
+	m.trail = append(m.trail, trailEntry{kind: tPlaced, idx: v, old: was})
 	if !m.setMin(v, pos, -1) || !m.setMax(v, pos, -1) {
 		m.stats.Conflicts++
 		c := m.explainVar(Pair{v, v}, v)

@@ -373,3 +373,59 @@ func TestPopWithoutPushPanics(t *testing.T) {
 	m := NewModel(twoOverlapping(8), nil)
 	m.Pop()
 }
+
+// TestConflictLifetime pins the documented conflict lifetime: the model
+// owns the conflicts it returns, so the next conflict overwrites the one a
+// caller holds, and a copy taken before it keeps the first explanation. A
+// root conflict is the model's own copy and survives later conflicts.
+func TestConflictLifetime(t *testing.T) {
+	// Three size-6 buffers live together in 12 bytes: placing one at 0
+	// pushes the other two onto [6, 6], where they collide.
+	p := &buffers.Problem{
+		Buffers: []buffers.Buffer{
+			{Start: 0, End: 10, Size: 6},
+			{Start: 0, End: 10, Size: 6},
+			{Start: 0, End: 10, Size: 6},
+		},
+		Memory: 12,
+	}
+	p.Normalize()
+	m := NewModel(p, nil)
+	m.Push()
+	first := m.Place(0, 0)
+	if first == nil {
+		t.Fatal("placing buffer 0 at 0 did not conflict")
+	}
+	kept := *first
+	kept.Placements = append([]int(nil), first.Placements...)
+	if kept.Pair != (Pair{1, 2}) || len(kept.Placements) != 1 || kept.Placements[0] != 0 {
+		t.Fatalf("first conflict %+v, want pair (1,2) explained by placement 0", kept)
+	}
+	m.Pop()
+	m.Push()
+	second := m.Place(1, 0)
+	if second != first {
+		t.Fatalf("the second conflict lives at %p, the first at %p: want the model's one storage", second, first)
+	}
+	if first.Pair != (Pair{0, 2}) || len(first.Placements) != 1 || first.Placements[0] != 1 {
+		t.Errorf("held conflict reads %+v after the next one, want it overwritten with pair (0,2) explained by 1", *first)
+	}
+	if kept.Pair != (Pair{1, 2}) || kept.Placements[0] != 0 {
+		t.Errorf("the copy changed to %+v", kept)
+	}
+	m.Pop()
+
+	root := NewModel(rootInfeasible(), nil)
+	rc := root.Place(2, 0)
+	if rc == nil || rc == &root.conflict {
+		t.Fatalf("root conflict %p, want a copy apart from the model's storage %p", rc, &root.conflict)
+	}
+	want := *rc
+	root.explainPair(Pair{0, 2})
+	if rc.Pair != want.Pair || rc.Var != want.Var {
+		t.Errorf("root conflict changed to %+v after another conflict, want %+v", *rc, want)
+	}
+	if again := root.FixOrder(0, AFirst); again != rc {
+		t.Errorf("FixOrder on a root-infeasible model returned %p, want the root conflict %p", again, rc)
+	}
+}

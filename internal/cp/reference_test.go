@@ -23,20 +23,24 @@ import (
 // thresholds only skip pairs this scan would find idle, so both engines
 // must build the same queue in the same order: same bounds, orders,
 // conflicts and Stats, PairWakeups included.
+//
+// Its reason chains are the pointer-linked nodes Model's trail-index links
+// replaced, one node per bound change, so the reference also checks that
+// the trail links explain every conflict with the same placements.
 type refModel struct {
 	prob *buffers.Problem
 	ov   *buffers.Overlaps
 
 	posMin, posMax []int64
-	minReason      []*reasonNode
-	maxReason      []*reasonNode
+	minReason      []*refReasonNode
+	maxReason      []*refReasonNode
 	placed         []bool
 
 	pairs   []Pair
 	order   []Order
 	pairsOf [][]int32
 
-	trail  []trailEntry
+	trail  []refTrailEntry
 	levels []int
 
 	queue     []int32
@@ -45,6 +49,21 @@ type refModel struct {
 
 	rootConflict *Conflict
 	stats        Stats
+}
+
+// refReasonNode forms an immutable chain of "which variable caused this
+// bound" breadcrumbs. Chains are persistent so that popping the trail can
+// restore a previous chain by pointer.
+type refReasonNode struct {
+	by   int32 // variable whose bounds/placement triggered the tightening; -1 for decisions
+	prev *refReasonNode
+}
+
+type refTrailEntry struct {
+	kind      trailKind
+	idx       int32
+	old       int64
+	oldReason *refReasonNode
 }
 
 func newRefModel(p *buffers.Problem, ov *buffers.Overlaps) *refModel {
@@ -57,8 +76,8 @@ func newRefModel(p *buffers.Problem, ov *buffers.Overlaps) *refModel {
 		ov:        ov,
 		posMin:    make([]int64, n),
 		posMax:    make([]int64, n),
-		minReason: make([]*reasonNode, n),
-		maxReason: make([]*reasonNode, n),
+		minReason: make([]*refReasonNode, n),
+		maxReason: make([]*refReasonNode, n),
 		placed:    make([]bool, n),
 		pairsOf:   make([][]int32, n),
 	}
@@ -149,9 +168,9 @@ func (m *refModel) setMin(v int32, val int64, by int32) bool {
 	if val <= m.posMin[v] {
 		return true
 	}
-	m.trail = append(m.trail, trailEntry{tMin, v, m.posMin[v], m.minReason[v]})
+	m.trail = append(m.trail, refTrailEntry{tMin, v, m.posMin[v], m.minReason[v]})
 	m.posMin[v] = val
-	m.minReason[v] = &reasonNode{by: by, prev: m.minReason[v]}
+	m.minReason[v] = &refReasonNode{by: by, prev: m.minReason[v]}
 	m.stats.Propagations++
 	if m.posMin[v] > m.posMax[v] {
 		return false
@@ -165,9 +184,9 @@ func (m *refModel) setMax(v int32, val int64, by int32) bool {
 	if val >= m.posMax[v] {
 		return true
 	}
-	m.trail = append(m.trail, trailEntry{tMax, v, m.posMax[v], m.maxReason[v]})
+	m.trail = append(m.trail, refTrailEntry{tMax, v, m.posMax[v], m.maxReason[v]})
 	m.posMax[v] = val
-	m.maxReason[v] = &reasonNode{by: by, prev: m.maxReason[v]}
+	m.maxReason[v] = &refReasonNode{by: by, prev: m.maxReason[v]}
 	m.stats.Propagations++
 	if m.posMin[v] > m.posMax[v] {
 		return false
@@ -177,7 +196,7 @@ func (m *refModel) setMax(v int32, val int64, by int32) bool {
 }
 
 func (m *refModel) setOrder(k int32, o Order) {
-	m.trail = append(m.trail, trailEntry{tOrder, k, int64(m.order[k]), nil})
+	m.trail = append(m.trail, refTrailEntry{tOrder, k, int64(m.order[k]), nil})
 	m.order[k] = o
 	m.stats.OrderFixes++
 }
@@ -218,7 +237,7 @@ func (m *refModel) Place(buf int, pos int64) *Conflict {
 	} else {
 		m.placed[buf] = true
 	}
-	m.trail = append(m.trail, trailEntry{tPlaced, v, was, nil})
+	m.trail = append(m.trail, refTrailEntry{tPlaced, v, was, nil})
 	if !m.setMin(v, pos, -1) || !m.setMax(v, pos, -1) {
 		m.stats.Conflicts++
 		c := m.explainVar(Pair{v, v}, v)

@@ -5,7 +5,10 @@
 // baseline allocator).
 package intervals
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Interval is the half-open range [Lo, Hi).
 type Interval struct {
@@ -24,70 +27,6 @@ func (iv Interval) Overlaps(o Interval) bool { return iv.Lo < o.Hi && o.Lo < iv.
 // Contains reports whether x lies within [Lo, Hi).
 func (iv Interval) Contains(x int64) bool { return iv.Lo <= x && x < iv.Hi }
 
-// Set is a mutable collection of intervals kept sorted by Lo and merged so
-// that stored intervals never overlap or touch. The zero value is an empty
-// set ready to use.
-type Set struct {
-	ivs []Interval
-}
-
-// NewSet returns a set pre-populated with the given intervals.
-func NewSet(ivs ...Interval) *Set {
-	s := &Set{}
-	for _, iv := range ivs {
-		s.Add(iv)
-	}
-	return s
-}
-
-// Add inserts [lo, hi), merging with any overlapping or adjacent intervals.
-// Amortised O(log n) plus the number of merged intervals.
-func (s *Set) Add(iv Interval) {
-	if iv.Empty() {
-		return
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi >= iv.Lo })
-	j := i
-	for j < len(s.ivs) && s.ivs[j].Lo <= iv.Hi {
-		if s.ivs[j].Lo < iv.Lo {
-			iv.Lo = s.ivs[j].Lo
-		}
-		if s.ivs[j].Hi > iv.Hi {
-			iv.Hi = s.ivs[j].Hi
-		}
-		j++
-	}
-	s.ivs = append(s.ivs[:i], append([]Interval{iv}, s.ivs[j:]...)...)
-}
-
-// Covers reports whether [lo, hi) is fully contained in the set.
-func (s *Set) Covers(iv Interval) bool {
-	if iv.Empty() {
-		return true
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > iv.Lo })
-	return i < len(s.ivs) && s.ivs[i].Lo <= iv.Lo && iv.Hi <= s.ivs[i].Hi
-}
-
-// Intersects reports whether any stored interval overlaps [lo, hi).
-func (s *Set) Intersects(iv Interval) bool {
-	if iv.Empty() {
-		return false
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > iv.Lo })
-	return i < len(s.ivs) && s.ivs[i].Lo < iv.Hi
-}
-
-// Intervals returns the stored intervals in sorted order. The returned slice
-// aliases internal storage and must not be modified.
-func (s *Set) Intervals() []Interval { return s.ivs }
-
-// Len returns the number of stored (merged) intervals.
-func (s *Set) Len() int { return len(s.ivs) }
-
-// Reset empties the set, retaining capacity.
-func (s *Set) Reset() { s.ivs = s.ivs[:0] }
-
 // alignUp rounds x up to a multiple of align (align <= 1 is a no-op).
 func alignUp(x, align int64) int64 {
 	if align <= 1 {
@@ -102,8 +41,8 @@ func alignUp(x, align int64) int64 {
 // LowestFit returns the lowest address pos >= minPos with pos % align == 0
 // such that [pos, pos+size) does not intersect any interval in occupied and
 // pos+size <= limit. occupied must be sorted by Lo and non-overlapping (as
-// produced by Set.Intervals or SortAndMerge). The boolean result is false if
-// no such position exists.
+// produced by SortAndMerge). The boolean result is false if no such position
+// exists.
 func LowestFit(occupied []Interval, size, align, minPos, limit int64) (int64, bool) {
 	pos := alignUp(minPos, align)
 	for _, iv := range occupied {
@@ -161,12 +100,14 @@ func BestFit(occupied []Interval, size, align, limit int64) (int64, bool) {
 }
 
 // SortAndMerge sorts ivs by Lo and merges overlapping or touching intervals
-// in place, returning the shortened slice.
+// in place, returning the shortened slice. The result is the union of the
+// inputs, so how the sort orders equal Los does not show in it. It
+// allocates nothing.
 func SortAndMerge(ivs []Interval) []Interval {
 	if len(ivs) <= 1 {
 		return ivs
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo })
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
 	out := ivs[:1]
 	for _, iv := range ivs[1:] {
 		last := &out[len(out)-1]

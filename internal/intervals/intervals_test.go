@@ -3,59 +3,11 @@ package intervals
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestSetAddMerges(t *testing.T) {
-	s := NewSet()
-	s.Add(Interval{0, 5})
-	s.Add(Interval{10, 15})
-	s.Add(Interval{4, 11}) // bridges both
-	if got := s.Intervals(); !reflect.DeepEqual(got, []Interval{{0, 15}}) {
-		t.Errorf("Intervals = %v, want [{0 15}]", got)
-	}
-}
-
-func TestSetAddAdjacent(t *testing.T) {
-	s := NewSet(Interval{0, 5}, Interval{5, 10})
-	if s.Len() != 1 {
-		t.Errorf("adjacent intervals not merged: %v", s.Intervals())
-	}
-}
-
-func TestSetAddEmptyIgnored(t *testing.T) {
-	s := NewSet()
-	s.Add(Interval{5, 5})
-	s.Add(Interval{7, 3})
-	if s.Len() != 0 {
-		t.Errorf("empty intervals stored: %v", s.Intervals())
-	}
-}
-
-func TestSetCoversAndIntersects(t *testing.T) {
-	s := NewSet(Interval{2, 6}, Interval{10, 20})
-	cases := []struct {
-		iv                Interval
-		covers, intersect bool
-	}{
-		{Interval{3, 5}, true, true},
-		{Interval{2, 6}, true, true},
-		{Interval{1, 3}, false, true},
-		{Interval{6, 10}, false, false},
-		{Interval{5, 11}, false, true},
-		{Interval{25, 30}, false, false},
-		{Interval{4, 4}, true, false}, // empty interval
-	}
-	for _, c := range cases {
-		if got := s.Covers(c.iv); got != c.covers {
-			t.Errorf("Covers(%v) = %v, want %v", c.iv, got, c.covers)
-		}
-		if got := s.Intersects(c.iv); got != c.intersect {
-			t.Errorf("Intersects(%v) = %v, want %v", c.iv, got, c.intersect)
-		}
-	}
-}
 
 func TestLowestFit(t *testing.T) {
 	occ := []Interval{{4, 8}, {12, 16}}
@@ -182,36 +134,52 @@ func TestPropertyLowestFitIsValidAndMinimal(t *testing.T) {
 	}
 }
 
-func TestPropertySetInvariants(t *testing.T) {
-	// Property: after arbitrary Adds, stored intervals are sorted, disjoint,
-	// non-adjacent, and membership matches a brute-force bitmap.
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewSet()
-		covered := make([]bool, 200)
-		for i := 0; i < 20; i++ {
-			lo := rng.Int63n(180)
-			hi := lo + rng.Int63n(20)
-			s.Add(Interval{lo, hi})
-			for x := lo; x < hi; x++ {
-				covered[x] = true
-			}
-		}
-		prev := Interval{-10, -5}
-		for _, iv := range s.Intervals() {
-			if iv.Empty() || iv.Lo <= prev.Hi {
-				return false
-			}
-			prev = iv
-		}
-		for x := int64(0); x < 200; x++ {
-			if covered[x] != s.Intersects(Interval{x, x + 1}) {
-				return false
-			}
-		}
-		return true
+// sortAndMergeOracle is SortAndMerge on the reflective sort.Slice it used
+// before slices.SortFunc.
+func sortAndMergeOracle(ivs []Interval) []Interval {
+	if len(ivs) <= 1 {
+		return ivs
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo })
+	out := ivs[:1]
+	for _, iv := range ivs[1:] {
+		last := &out[len(out)-1]
+		if iv.Lo <= last.Hi {
+			if iv.Hi > last.Hi {
+				last.Hi = iv.Hi
+			}
+		} else {
+			out = append(out, iv)
+		}
+	}
+	return out
+}
+
+// TestSortAndMergeMatchesSortSlice: on random intervals with many equal
+// Los, SortAndMerge returns exactly what the sort.Slice version returns,
+// and allocates nothing.
+func TestSortAndMergeMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		n := rng.Intn(40)
+		ivs := make([]Interval, n)
+		for j := range ivs {
+			lo := rng.Int63n(1+int64(n)/2) * 4 // few distinct Los
+			ivs[j] = Interval{lo, lo + 1 + rng.Int63n(12)}
+		}
+		want := sortAndMergeOracle(slices.Clone(ivs))
+		if got := SortAndMerge(slices.Clone(ivs)); !slices.Equal(got, want) {
+			t.Fatalf("SortAndMerge(%v) = %v, sort.Slice version %v", ivs, got, want)
+		}
+	}
+	scratch := make([]Interval, 64)
+	if allocs := testing.AllocsPerRun(20, func() {
+		for j := range scratch {
+			lo := int64(j*7%16) * 3
+			scratch[j] = Interval{lo, lo + 5}
+		}
+		SortAndMerge(scratch)
+	}); allocs != 0 {
+		t.Errorf("SortAndMerge allocates %.1f objects per call, want 0", allocs)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"telamalloc/internal/buffers"
@@ -186,36 +185,18 @@ func chooseVictim(sub *buffers.Problem, back []int, weights []int64, pinned func
 			peakStep = s
 		}
 	}
-	type cand struct {
-		id    int     // index in sub, which orders like the original ID
-		score float64 // weight per byte of relief; lower is better
-		size  int64
-	}
-	var cands []cand
+	best, bestScore, bestSize := -1, 0.0, int64(0)
 	for subID, b := range sub.Buffers {
 		orig := back[subID]
-		if pinned(orig) {
+		if pinned(orig) || b.Start >= peakStep.End || peakStep.Start >= b.End {
 			continue
 		}
-		if b.Start < peakStep.End && peakStep.Start < b.End {
-			cands = append(cands, cand{
-				id:    subID,
-				score: float64(weights[orig]) / float64(b.Size),
-				size:  b.Size,
-			})
+		// Weight per byte of relief; lower is better. Buffers are visited
+		// in ID order, so a tie on score and size keeps the lower ID.
+		score := float64(weights[orig]) / float64(b.Size)
+		if best < 0 || score < bestScore || (score == bestScore && b.Size > bestSize) {
+			best, bestScore, bestSize = subID, score, b.Size
 		}
 	}
-	if len(cands) == 0 {
-		return -1
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score < cands[j].score
-		}
-		if cands[i].size != cands[j].size {
-			return cands[i].size > cands[j].size
-		}
-		return cands[i].id < cands[j].id
-	})
-	return cands[0].id
+	return best
 }

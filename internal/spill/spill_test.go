@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -271,5 +272,69 @@ func TestDeadlineStopsPlanning(t *testing.T) {
 	plan, err := Make(Request{Problem: p, Allocator: alloc, Deadline: alloc.Config.Deadline})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("plan %+v err %v, want ErrDeadline", plan, err)
+	}
+}
+
+// chooseVictimOracle is chooseVictim as a sort of every candidate by the
+// same comparator, the version the minimum scan replaced.
+func chooseVictimOracle(sub *buffers.Problem, back []int, weights []int64, pinned func(int) bool) int {
+	if len(sub.Buffers) == 0 {
+		return -1
+	}
+	var peakStep buffers.ContentionStep
+	for _, s := range buffers.Contention(sub).Steps {
+		if s.Contention > peakStep.Contention {
+			peakStep = s
+		}
+	}
+	type cand struct {
+		id    int
+		score float64
+		size  int64
+	}
+	var cands []cand
+	for subID, b := range sub.Buffers {
+		orig := back[subID]
+		if !pinned(orig) && b.Start < peakStep.End && peakStep.Start < b.End {
+			cands = append(cands, cand{subID, float64(weights[orig]) / float64(b.Size), b.Size})
+		}
+	}
+	if len(cands) == 0 {
+		return -1
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score < cands[j].score
+		}
+		if cands[i].size != cands[j].size {
+			return cands[i].size > cands[j].size
+		}
+		return cands[i].id < cands[j].id
+	})
+	return cands[0].id
+}
+
+// TestChooseVictimMatchesSort: the one-pass minimum picks the victim the
+// sort picked, on instances drawn with many ties in score and size.
+func TestChooseVictimMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		n := rng.Intn(24)
+		p := &buffers.Problem{Memory: 64}
+		back := make([]int, n)
+		weights := make([]int64, 2*n)
+		for j := 0; j < n; j++ {
+			start := rng.Int63n(8)
+			p.Buffers = append(p.Buffers, buffers.Buffer{Start: start, End: start + 1 + rng.Int63n(6), Size: 4 << rng.Intn(3)})
+			back[j] = 2*j + rng.Intn(2)
+		}
+		for k := range weights {
+			weights[k] = int64(rng.Intn(4)) * 4
+		}
+		pinnedSet := rng.Int63()
+		pinned := func(orig int) bool { return pinnedSet>>(orig%63)&1 == 1 && orig%5 == 0 }
+		if got, want := chooseVictim(p, back, weights, pinned), chooseVictimOracle(p, back, weights, pinned); got != want {
+			t.Fatalf("instance %d: chooseVictim = %d, sorted choice %d", i, got, want)
+		}
 	}
 }

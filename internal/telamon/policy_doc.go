@@ -22,6 +22,15 @@ package telamon
 //     to it. The framework adds no candidate of its own: a point whose
 //     batches hold none is exhausted.
 //
+//     At cursor 0, dst is not nil but an empty slice over the decision
+//     point's own room for three candidates. A policy that appends its
+//     opening batch to dst therefore opens a point without allocating when
+//     the batch holds at most three, as TelaMalloc's one-phase picks do;
+//     a longer batch makes append move to a fresh array, as for any slice.
+//     A policy may also ignore dst and return a slice of its own. Either
+//     way the point owns what the call returns, and later batches are
+//     appended to it.
+//
 //  2. Placement — once per candidate attempt. The policy converts a buffer
 //     ID into a concrete position; ok=false marks the candidate dead
 //     without touching solver state (counted as a minor backtrack).

@@ -82,7 +82,7 @@ type DecisionPoint struct {
 	// candidate that already failed here would deterministically fail
 	// again. Filtering retries is therefore sound and guarantees that
 	// candidate promotion cannot cycle.
-	tried map[int]bool
+	tried triedSet
 	// Placed is the committed buffer at this point, -1 before a commit.
 	Placed int
 	// Pos is the committed position (valid when Placed >= 0).
@@ -92,8 +92,57 @@ type DecisionPoint struct {
 	// Drives the stuck-detection heuristic of §5.4.
 	SubtreeBacktracks int
 	// LastConflict is the most recent solver conflict observed while trying
-	// candidates at this point.
+	// candidates at this point. It points at the point's own copy, so
+	// conflicts deeper in its subtree leave it as it was.
 	LastConflict *cp.Conflict
+	// conflict holds LastConflict's copy, and first the opening batch.
+	conflict cp.Conflict
+	first    [3]int
+}
+
+// keepConflict copies c, which the model overwrites on its next operation,
+// into dp's own storage and makes it dp's LastConflict.
+func (dp *DecisionPoint) keepConflict(c *cp.Conflict) {
+	dp.conflict.Pair, dp.conflict.Var = c.Pair, c.Var
+	dp.conflict.Placements = append(dp.conflict.Placements[:0], c.Placements...)
+	dp.LastConflict = &dp.conflict
+}
+
+// triedSet is a decision point's set of tried candidates. Most points try
+// only a few, so the first inlineTried live inline and only a point that
+// tries more makes a map.
+type triedSet struct {
+	n      int
+	inline [inlineTried]int
+	more   map[int]struct{}
+}
+
+const inlineTried = 6
+
+func (s *triedSet) has(b int) bool {
+	for _, t := range s.inline[:min(s.n, inlineTried)] {
+		if t == b {
+			return true
+		}
+	}
+	if s.more == nil {
+		return false
+	}
+	_, ok := s.more[b]
+	return ok
+}
+
+// add inserts b, which must not be in the set yet.
+func (s *triedSet) add(b int) {
+	if s.n < inlineTried {
+		s.inline[s.n] = b
+	} else {
+		if s.more == nil {
+			s.more = make(map[int]struct{})
+		}
+		s.more[b] = struct{}{}
+	}
+	s.n++
 }
 
 // State is the live search state handed to the policy.
@@ -116,9 +165,11 @@ type Policy interface {
 	// Candidates appends the next batch of a decision point's candidates
 	// to dst and returns it with the cursor for the batch after, or with a
 	// negative cursor when this batch was the last. Cursor 0 opens the
-	// point, before it is pushed onto the stack, with dst nil; the point
-	// owns what that call returns. Later cursors are whatever the previous
-	// call returned, opaque to the framework and never 0. The framework
+	// point, before it is pushed onto the stack, with dst an empty slice
+	// over the point's own room for three candidates, so an opening batch
+	// that fits costs no allocation; the point owns what that call
+	// returns. Later cursors are whatever the previous call returned,
+	// opaque to the framework and never 0. The framework
 	// asks for a later batch only once it has walked every candidate so
 	// far, and only while the model is at the point's own placement prefix
 	// — the point is on top of the stack and uncommitted — so the batches
@@ -272,7 +323,21 @@ type searcher struct {
 	sampled int64
 	// merged is the scratch set of the promoted queue under construction.
 	merged idSet
+	// points is the chunk new decision points are carved from: one
+	// allocation per chunk, not per point. Points are never reused, as
+	// callers may key state by *DecisionPoint.
+	points []DecisionPoint
 }
+
+// The chunks decision points are carved from double in size from
+// minPointChunk up to maxPointChunk. The floor keeps a short search's
+// set-up small. The cap bounds what a chunk pins: one point still on the
+// stack keeps its whole chunk alive, and a backtracking search leaves
+// points from many chunks on its stack.
+const (
+	minPointChunk = 8
+	maxPointChunk = 32
+)
 
 // budgetPollStride is how many outOfBudget calls pass between time/cancel
 // polls. outOfBudget runs at least once per candidate attempt, so the worst
@@ -359,13 +424,24 @@ func (s *searcher) top() *DecisionPoint {
 
 func (s *searcher) openDecisionPoint() *DecisionPoint {
 	st := s.st
-	queue, more := s.policy.Candidates(st, 0, nil)
-	dp := &DecisionPoint{Queue: queue, more: more, Placed: -1, tried: make(map[int]bool)}
+	dp := s.newPoint()
+	dp.Placed = -1
+	dp.Queue, dp.more = s.policy.Candidates(st, 0, dp.first[:0])
 	st.Stack = append(st.Stack, dp)
 	if d := len(st.Stack); d > st.Stats.MaxDepth {
 		st.Stats.MaxDepth = d
 	}
 	return dp
+}
+
+// newPoint returns a zeroed decision point from the current chunk, starting
+// a chunk twice the size of the last one when it is full.
+func (s *searcher) newPoint() *DecisionPoint {
+	if len(s.points) == cap(s.points) {
+		s.points = make([]DecisionPoint, 0, min(max(2*cap(s.points), minPointChunk), maxPointChunk))
+	}
+	s.points = s.points[:len(s.points)+1]
+	return &s.points[len(s.points)-1]
 }
 
 // pull appends dp's next batch to its queue and reports whether dp had a
@@ -395,10 +471,10 @@ func (s *searcher) tryCandidates(dp *DecisionPoint) bool {
 		}
 		buf := dp.Queue[dp.Next]
 		dp.Next++
-		if st.Model.Placed(buf) || dp.tried[buf] {
+		if st.Model.Placed(buf) || dp.tried.has(buf) {
 			continue
 		}
-		dp.tried[buf] = true
+		dp.tried.add(buf)
 		st.Stats.Steps++
 		pos, ok := s.policy.Placement(st, buf)
 		if !ok {
@@ -408,10 +484,10 @@ func (s *searcher) tryCandidates(dp *DecisionPoint) bool {
 		}
 		st.Model.Push()
 		if c := st.Model.Place(buf, pos); c != nil {
+			dp.keepConflict(c)
 			st.Model.Pop()
 			st.Stats.MinorBacktracks++
 			dp.SubtreeBacktracks++
-			dp.LastConflict = c
 			continue
 		}
 		dp.Placed = buf
@@ -546,7 +622,7 @@ func (s *searcher) promote(exhausted *DecisionPoint, target int) {
 	promoted, full := false, false
 	s.candidates(exhausted, 0, func(b int) bool {
 		promoted = true
-		if dp.tried[b] || !s.merged.add(b) {
+		if dp.tried.has(b) || !s.merged.add(b) {
 			return true
 		}
 		queue = append(queue, b)

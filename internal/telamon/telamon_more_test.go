@@ -2,9 +2,11 @@ package telamon
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"telamalloc/internal/buffers"
+	"telamalloc/internal/cp"
 )
 
 // hardInstance produces a tight instance that forces major backtracks.
@@ -157,4 +159,61 @@ func TestMaxDepthNeverExceedsBuffers(t *testing.T) {
 			t.Errorf("seed %d: MaxDepth %d with %d buffers", seed, res.Stats.MaxDepth, len(p.Buffers))
 		}
 	}
+}
+
+// TestLastConflictSurvivesDeeperConflicts: a point's LastConflict is its
+// own copy. The model owns the conflicts it returns and overwrites them on
+// its next failure, so an exhausted point must still read the conflict it
+// saw, not one from deeper in its subtree.
+func TestLastConflictSurvivesDeeperConflicts(t *testing.T) {
+	// Two size-6 buffers live together in 12 bytes. The root tries buffer
+	// 0 at 3, where it leaves no room for buffer 1, then commits buffer 1
+	// at 0; the point above it tries buffer 0 at 0, where buffer 1 sits.
+	p := &buffers.Problem{
+		Buffers: []buffers.Buffer{{Start: 0, End: 10, Size: 6}, {Start: 0, End: 10, Size: 6}},
+		Memory:  12,
+	}
+	p.Normalize()
+	var root, deeper cp.Conflict
+	checked := false
+	policy := funcPolicy{
+		cands: func(st *State, _ int, dst []int) ([]int, int) {
+			if len(st.Stack) == 0 {
+				return append(dst, 0, 1), -1
+			}
+			return append(dst, 0), -1
+		},
+		place: func(st *State, b int) (int64, bool) {
+			if len(st.Stack) == 1 && b == 0 {
+				return 3, true
+			}
+			return 0, true
+		},
+		back: func(st *State, exhausted *DecisionPoint) (int, bool) {
+			checked = true
+			root, deeper = copyConflict(st.Stack[0].LastConflict), copyConflict(exhausted.LastConflict)
+			return -1, true
+		},
+	}
+	if res := Search(p, nil, policy, Options{MaxSteps: 10}); res.Status != Exhausted || res.Stats.Steps != 3 {
+		t.Fatalf("%v after %d steps, want exhausted after 3", res.Status, res.Stats.Steps)
+	}
+	if !checked {
+		t.Fatal("no major backtrack")
+	}
+	if root.Pair != (cp.Pair{A: 0, B: 1}) || root.Var != -1 || !slices.Equal(root.Placements, []int{0}) {
+		t.Errorf("root's LastConflict reads %+v, want the dead pair (0,1) explained by placement 0", root)
+	}
+	if deeper.Pair != (cp.Pair{A: 0, B: 0}) || deeper.Var != 0 || !slices.Equal(deeper.Placements, []int{0}) {
+		t.Errorf("exhausted point's LastConflict reads %+v, want buffer 0's wipeout explained by placement 0", deeper)
+	}
+}
+
+func copyConflict(c *cp.Conflict) cp.Conflict {
+	if c == nil {
+		return cp.Conflict{Var: -2}
+	}
+	dup := *c
+	dup.Placements = slices.Clone(c.Placements)
+	return dup
 }

@@ -201,12 +201,12 @@ func promoted(t *testing.T, promoted, rest []int, how string, limit int) ([]int,
 	}
 	// The target committed buffer 7, so the exhausted point's prefix has
 	// it placed and the target's own prefix does not.
-	target := &DecisionPoint{Placed: 7, tried: map[int]bool{}, more: -1}
+	target := &DecisionPoint{Placed: 7, more: -1}
 	s.st.Model.Push()
 	if c := s.st.Model.Place(7, 0); c != nil {
 		t.Fatal(c)
 	}
-	exhausted := &DecisionPoint{Placed: -1, tried: map[int]bool{}, more: -1}
+	exhausted := &DecisionPoint{Placed: -1, more: -1}
 	s.st.Stack = []*DecisionPoint{target, exhausted}
 	src.picks = map[*DecisionPoint][]int{target: rest, exhausted: promoted}
 	src.placed = map[*DecisionPoint]bool{exhausted: true}
