@@ -144,6 +144,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSearchEquivalence -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPropagationEquivalence -fuzztime=10s ./internal/cp
 	$(GO) test -run='^$$' -fuzz=FuzzSweepEquivalence -fuzztime=10s ./internal/buffers
+	$(GO) test -run='^$$' -fuzz=FuzzAlignSlotBound -fuzztime=10s ./internal/buffers
 	$(GO) test -run='^$$' -fuzz=FuzzGroupEquivalence -fuzztime=10s ./internal/phases
 
 ## diffsoak: the differential verification soak under the race detector —

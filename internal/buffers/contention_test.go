@@ -115,3 +115,33 @@ func TestPeakIsLowerBoundOnAnyValidPacking(t *testing.T) {
 		t.Errorf("contention peak %d exceeds packing peak %d", peak, s.PeakUsage(p))
 	}
 }
+
+// TestRemoveMatchesFreshProfile: a profile with buffers removed reads, at
+// every time, like the profile built from the remaining buffers alone, and
+// has the same peak.
+func TestRemoveMatchesFreshProfile(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		p := randomProblem(rng, 1+rng.Intn(30))
+		prof := Contention(p)
+		var kept []int
+		for id, b := range p.Buffers {
+			if rng.Intn(3) == 0 {
+				prof.Remove(b)
+			} else {
+				kept = append(kept, id)
+			}
+		}
+		fresh := Contention(p.Subset(kept))
+		if prof.Peak() != fresh.Peak() {
+			t.Fatalf("problem %d: peak %d after removals, fresh %d", i, prof.Peak(), fresh.Peak())
+		}
+		for _, b := range p.Buffers {
+			for _, at := range []int64{b.Start, b.End - 1, b.End} {
+				if prof.At(at) != fresh.At(at) {
+					t.Fatalf("problem %d: contention at %d is %d after removals, fresh %d", i, at, prof.At(at), fresh.At(at))
+				}
+			}
+		}
+	}
+}

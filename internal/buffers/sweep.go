@@ -3,6 +3,7 @@ package buffers
 import (
 	"cmp"
 	"slices"
+	"sync"
 )
 
 // Sweep walks the problem's live ranges along the time axis and calls visit
@@ -23,17 +24,16 @@ import (
 // O(n log n) plus visit's own work: the live set adds and removes in O(1).
 func Sweep(p *Problem, visit func(t int64, id int, start bool, live []int)) {
 	n := len(p.Buffers)
-	type key struct {
-		t  int64
-		id int
-	}
-	keys := make([]key, 2*n)
+	sc := sweepPool.Get().(*sweepScratch)
+	defer sweepPool.Put(sc)
+	keys := slices.Grow(sc.keys[:0], 2*n)[:2*n]
+	sc.keys = keys
 	starts, ends := keys[:n], keys[n:]
 	for i, b := range p.Buffers {
-		starts[i] = key{b.Start, i}
-		ends[i] = key{b.End, i}
+		starts[i] = sweepKey{b.Start, i}
+		ends[i] = sweepKey{b.End, i}
 	}
-	byTime := func(a, b key) int {
+	byTime := func(a, b sweepKey) int {
 		if c := cmp.Compare(a.t, b.t); c != 0 {
 			return c
 		}
@@ -43,7 +43,8 @@ func Sweep(p *Problem, visit func(t int64, id int, start bool, live []int)) {
 	slices.SortFunc(ends, byTime)
 
 	// pos[id] is id's index in live, or -1 when id is not live.
-	scratch := make([]int, 2*n)
+	scratch := slices.Grow(sc.ints[:0], 2*n)[:2*n]
+	sc.ints = scratch
 	pos, live := scratch[:n], scratch[n:n]
 	for i := range pos {
 		pos[i] = -1
@@ -68,3 +69,19 @@ func Sweep(p *Problem, visit func(t int64, id int, start bool, live []int)) {
 		e++
 	}
 }
+
+// sweepKey is one event of a Sweep: a buffer's start or end time.
+type sweepKey struct {
+	t  int64
+	id int
+}
+
+// sweepScratch is a Sweep's working storage. Sweeps run on every request,
+// several times over; reusing their storage keeps them from allocating
+// once the pool is warm.
+type sweepScratch struct {
+	keys []sweepKey
+	ints []int
+}
+
+var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}

@@ -52,9 +52,9 @@ const (
 	// KindOutcome: the result's own fields contradict each other (a win
 	// with no winner, a degraded result with an empty spill set, ...).
 	KindOutcome Kind = "outcome-inconsistent"
-	// KindEvidence: the reported lower bound does not match the
-	// independently recomputed contention peak, or infeasibility evidence
-	// does not actually prove infeasibility.
+	// KindEvidence: a reported lower bound (the contention peak or the
+	// alignment-slot bound) does not match its independent recomputation,
+	// or infeasibility evidence does not actually prove infeasibility.
 	KindEvidence Kind = "infeasibility-evidence"
 )
 
@@ -279,6 +279,68 @@ func LowerBound(p telamalloc.Problem) int64 {
 	return peak
 }
 
+// AlignSlotBound independently recomputes the alignment-slot lower bound
+// (DESIGN.md §8): for every alignment value A > 1 of the problem and every
+// time, A times the A-slots the live buffers aligned to a multiple of A
+// cover, less the largest slack one of them leaves in its last slot. It
+// walks time points in order, keeping the live set in a map and summing it
+// afresh at each point, sharing nothing with buffers.AlignSlotBound's heaps.
+// 0 when no buffer has an alignment above one.
+func AlignSlotBound(p telamalloc.Problem) int64 {
+	aligns := map[int64]bool{}
+	times := map[int64]bool{}
+	for _, b := range p.Buffers {
+		if b.Align > 1 {
+			aligns[b.Align] = true
+			times[b.Start], times[b.End] = true, true
+		}
+	}
+	starting, ending := map[int64][]int{}, map[int64][]int{}
+	for i, b := range p.Buffers {
+		if b.Align > 1 {
+			starting[b.Start] = append(starting[b.Start], i)
+			ending[b.End] = append(ending[b.End], i)
+		}
+	}
+	order := make([]int64, 0, len(times))
+	for t := range times {
+		order = append(order, t)
+	}
+	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
+	live := map[int]bool{}
+	var bound int64
+	for _, t := range order {
+		// The live set on [t, next time point): End is exclusive.
+		for _, i := range ending[t] {
+			delete(live, i)
+		}
+		for _, i := range starting[t] {
+			live[i] = true
+		}
+		for a := range aligns {
+			var slots, slack int64
+			for i := range live {
+				b := p.Buffers[i]
+				if b.Align%a != 0 {
+					continue
+				}
+				n := b.Size / a
+				if b.Size%a != 0 {
+					n++
+				}
+				slots += n * a
+				if n*a-b.Size > slack {
+					slack = n*a - b.Size
+				}
+			}
+			if slots-slack > bound {
+				bound = slots - slack
+			}
+		}
+	}
+	return bound
+}
+
 // PeakUsage independently recomputes the highest address a packing touches.
 // Spilled buffers (offset < 0) are skipped.
 func PeakUsage(p telamalloc.Problem, offsets []int64) int64 {
@@ -302,6 +364,18 @@ func Pipeline(p telamalloc.Problem, res telamalloc.PipelineResult, perr error) R
 	}
 	if res.Memory != p.Memory {
 		r.add(KindEvidence, -1, -1, "result memory %d, problem memory %d", res.Memory, p.Memory)
+	}
+	if res.SlotBound != 0 {
+		if sb := AlignSlotBound(p); res.SlotBound != sb {
+			r.add(KindEvidence, -1, -1, "reported alignment-slot bound %d, independent bound %d", res.SlotBound, sb)
+		}
+	}
+	for _, st := range res.Stages {
+		if st.Stage == telamalloc.StageSearch && st.Skipped && strings.HasPrefix(st.SkipReason, "provably infeasible") &&
+			res.LowerBound <= p.Memory && res.SlotBound <= p.Memory {
+			r.add(KindEvidence, -1, -1, "search skipped as provably infeasible, but lower bound %d and alignment-slot bound %d fit memory %d",
+				res.LowerBound, res.SlotBound, p.Memory)
+		}
 	}
 	if perr != nil {
 		if res.Winner != "" || len(res.Solution.Offsets) != 0 {

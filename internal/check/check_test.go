@@ -6,6 +6,7 @@ import (
 
 	"telamalloc"
 	"telamalloc/internal/check"
+	"telamalloc/internal/workload"
 )
 
 // two-buffer conflict fixture: both live over [0,4), memory 10.
@@ -212,5 +213,67 @@ func TestPipelineReportChecks(t *testing.T) {
 	res.Spill = nil
 	if rep := check.Pipeline(p, res, err); !hasKind(rep, check.KindOutcome) {
 		t.Fatalf("degraded-without-plan accepted: %v", rep.Err())
+	}
+}
+
+// TestAlignSlotBound pins the bound on a hand-computed instance. Over
+// [2,4) three buffers aligned to multiples of 8 take 2, 1 and 1 slots of 8
+// bytes, and the topmost may end at most 6 bytes short of its last slot's
+// end (the size-10 one wastes 6), so 8·4 − 6 = 26 bytes: above the
+// contention peak of 10+7+8 = 25. Over [4,6) align 4 covers the size-8
+// and size-3 buffers, 4·3 − 1 = 11; the unaligned buffer never counts.
+func TestAlignSlotBound(t *testing.T) {
+	p := telamalloc.Problem{Memory: 40, Buffers: []telamalloc.Buffer{
+		{Start: 0, End: 4, Size: 10, Align: 8},
+		{Start: 1, End: 4, Size: 7, Align: 8},
+		{Start: 2, End: 6, Size: 8, Align: 16},
+		{Start: 4, End: 6, Size: 3, Align: 4},
+		{Start: 4, End: 6, Size: 5},
+	}}
+	if got := check.AlignSlotBound(p); got != 26 {
+		t.Errorf("AlignSlotBound = %d, want 26", got)
+	}
+	if got := check.LowerBound(p); got != 25 {
+		t.Errorf("LowerBound = %d, want 25", got)
+	}
+	p.Buffers = p.Buffers[4:]
+	if got := check.AlignSlotBound(p); got != 0 {
+		t.Errorf("AlignSlotBound without aligned buffers = %d, want 0", got)
+	}
+}
+
+// TestPipelineSlotBoundEvidence: alignment-hostile-40/s1 fits under its
+// contention peak but not under its alignment-slot bound, so the search is
+// skipped as provably infeasible with the bound as evidence. The checker
+// rejects a tampered bound, and a skipped search no bound backs.
+func TestPipelineSlotBoundEvidence(t *testing.T) {
+	q := workload.AlignmentHostile(40, 1)
+	p := telamalloc.Problem{Memory: q.Memory}
+	for _, b := range q.Buffers {
+		p.Buffers = append(p.Buffers, telamalloc.Buffer{Start: b.Start, End: b.End, Size: b.Size, Align: b.Align})
+	}
+	res, err := telamalloc.AllocatePipeline(p, telamalloc.WithMaxSteps(20000), telamalloc.WithParallelism(1))
+	if err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	if res.LowerBound > p.Memory || res.SlotBound <= p.Memory {
+		t.Fatalf("lower bound %d, slot bound %d, memory %d: want only the slot bound above memory",
+			res.LowerBound, res.SlotBound, p.Memory)
+	}
+	for _, st := range res.Stages {
+		if st.Stage == telamalloc.StageSearch && !st.Skipped {
+			t.Errorf("search ran (%v) although the slot bound proves it futile", st.Err)
+		}
+	}
+	if rep := check.Pipeline(p, res, err); !rep.OK() {
+		t.Fatalf("clean result rejected: %v", rep.Err())
+	}
+	res.SlotBound++
+	if rep := check.Pipeline(p, res, err); !hasKind(rep, check.KindEvidence) {
+		t.Errorf("tampered slot bound accepted: %v", rep.Err())
+	}
+	res.SlotBound = 0
+	if rep := check.Pipeline(p, res, err); !hasKind(rep, check.KindEvidence) {
+		t.Errorf("search skipped without evidence accepted: %v", rep.Err())
 	}
 }

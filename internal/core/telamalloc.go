@@ -197,6 +197,12 @@ func (a Allocator) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
 // aborts within the polling stride once ctx is done. It satisfies
 // spill.ContextAllocator, so a cancelled spill plan stops mid-solve.
 func (a Allocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error) {
+	return a.SolveContext(ctx, p).Allocated()
+}
+
+// SolveContext is AllocateContext returning the whole Result, effort
+// counters included.
+func (a Allocator) SolveContext(ctx context.Context, p *buffers.Problem) Result {
 	cfg := a.Config
 	if ctx != nil {
 		if cfg.Ctx != nil {
@@ -215,7 +221,12 @@ func (a Allocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*bu
 		}
 		cfg.Ctx = ctx
 	}
-	res := Solve(p, cfg)
+	return Solve(p, cfg)
+}
+
+// Allocated returns res the way Allocate answers: the solution, or the
+// error saying why there is none.
+func (res Result) Allocated() (*buffers.Solution, error) {
 	if res.Err != nil {
 		return nil, res.Err
 	}

@@ -10,6 +10,11 @@
 // contended time range and evicts the live buffer with the lowest
 // cost-per-byte-of-relief, then retries. Solving the eviction set optimally
 // is itself NP-hard; the greedy matches what production compilers do.
+//
+// An attempt that a proof says cannot succeed is counted but not searched:
+// a retained set whose contention peak or alignment-slot bound exceeds
+// memory, or a first attempt the caller's own search already failed. The
+// victim depends on the retained set alone, so skipping changes no plan.
 package spill
 
 import (
@@ -53,6 +58,14 @@ type Request struct {
 	// budget poll, which the planner would otherwise misread as "does not
 	// fit" and answer by evicting buffers.
 	Deadline time.Time
+	// SearchFailed reports that the caller already ran Allocator's search
+	// on the whole Problem, with a step budget at least as large and the
+	// same configuration otherwise, and that it failed by running out of
+	// steps or by exhausting its search space — not by a deadline, a
+	// cancellation, a panic or an injected fault. The search is
+	// deterministic and a smaller budget stops earlier on the same path,
+	// so attempt 1 would fail too and is not searched.
+	SearchFailed bool
 }
 
 // ContextAllocator is implemented by allocators that support cooperative
@@ -86,8 +99,11 @@ type Plan struct {
 	Spilled []int
 	// SpillCost is the summed weight of evicted buffers.
 	SpillCost int64
-	// Attempts counts allocator invocations.
+	// Attempts counts the retained sets planning tried, searched or not.
 	Attempts int
+	// Searched counts the attempts that called the allocator; the others
+	// were proven futile.
+	Searched int
 }
 
 // Make plans spills until the allocator succeeds. If the problem is already
@@ -118,6 +134,10 @@ func Make(req Request) (*Plan, error) {
 	for i := range retained {
 		retained[i] = i
 	}
+	// prof is the retained set's contention profile, kept across
+	// evictions: its steps stay split at evicted buffers' ends, which
+	// changes neither its peak nor the buffers live at its first peak step.
+	prof := buffers.Contention(p)
 	plan := &Plan{}
 	for {
 		if req.Ctx != nil && req.Ctx.Err() != nil {
@@ -126,32 +146,51 @@ func Make(req Request) (*Plan, error) {
 		if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
 			return nil, fmt.Errorf("%w after %d attempts", ErrDeadline, plan.Attempts)
 		}
-		sub := p.Subset(retained)
 		plan.Attempts++
-		sol, err := allocate(req, sub)
-		if err == nil {
-			full := buffers.NewSolution(n)
-			for subID, off := range sol.Offsets {
-				full.Offsets[retained[subID]] = off
+		if sub := searchable(req, plan.Attempts, retained, prof); sub != nil {
+			plan.Searched++
+			sol, err := allocate(req, sub)
+			if err == nil {
+				full := buffers.NewSolution(n)
+				for subID, off := range sol.Offsets {
+					full.Offsets[retained[subID]] = off
+				}
+				plan.Solution = full
+				return plan, nil
 			}
-			plan.Solution = full
-			return plan, nil
-		}
-		if errors.Is(err, ErrAllocatorPanic) || errors.Is(err, core.ErrPanic) {
-			return nil, err
+			if errors.Is(err, ErrAllocatorPanic) || errors.Is(err, core.ErrPanic) {
+				return nil, err
+			}
 		}
 		if req.MaxSpills > 0 && len(plan.Spilled) >= req.MaxSpills {
 			return nil, fmt.Errorf("%w: spill cap %d reached", ErrCannotFit, req.MaxSpills)
 		}
-		k := chooseVictim(sub, retained, weights, pinned)
+		k := chooseVictim(p, retained, prof, weights, pinned)
 		if k < 0 {
 			return nil, ErrCannotFit
 		}
 		victim := retained[k]
 		retained = slices.Delete(retained, k, k+1)
+		prof.Remove(p.Buffers[victim])
 		plan.Spilled = append(plan.Spilled, victim)
 		plan.SpillCost += weights[victim]
 	}
+}
+
+// searchable returns the retained set of the given attempt as a problem
+// for the allocator, or nil when a proof says the allocator cannot pack
+// it: the caller's search already failed on it (attempt 1 only), or its
+// contention peak (from prof, its profile) or its alignment-slot bound
+// exceeds memory.
+func searchable(req Request, attempt int, retained []int, prof buffers.ContentionProfile) *buffers.Problem {
+	if (attempt == 1 && req.SearchFailed) || prof.Peak() > req.Problem.Memory {
+		return nil
+	}
+	sub := req.Problem.Subset(retained)
+	if buffers.AlignSlotBound(sub) > sub.Memory {
+		return nil
+	}
+	return sub
 }
 
 // allocate runs one packing attempt inside a containment boundary — a
@@ -169,16 +208,15 @@ func allocate(req Request, sub *buffers.Problem) (sol *buffers.Solution, err err
 	return req.Allocator.Allocate(sub)
 }
 
-// chooseVictim picks the cheapest useful eviction from sub, the retained
-// buffers whose original IDs back lists: among buffers live during the
+// chooseVictim picks the cheapest useful eviction among p's retained
+// buffers, whose contention profile is prof: among buffers live during the
 // currently most-contended time range, the one with the lowest
 // weight-per-byte-of-relief (ties: larger size first, then lower ID). It
-// returns the victim's index in sub, or -1 when nothing is evictable.
-func chooseVictim(sub *buffers.Problem, back []int, weights []int64, pinned func(int) bool) int {
-	if len(sub.Buffers) == 0 {
+// returns the victim's index in retained, or -1 when nothing is evictable.
+func chooseVictim(p *buffers.Problem, retained []int, prof buffers.ContentionProfile, weights []int64, pinned func(int) bool) int {
+	if len(retained) == 0 {
 		return -1
 	}
-	prof := buffers.Contention(sub)
 	var peakStep buffers.ContentionStep
 	for _, s := range prof.Steps {
 		if s.Contention > peakStep.Contention {
@@ -186,16 +224,16 @@ func chooseVictim(sub *buffers.Problem, back []int, weights []int64, pinned func
 		}
 	}
 	best, bestScore, bestSize := -1, 0.0, int64(0)
-	for subID, b := range sub.Buffers {
-		orig := back[subID]
-		if pinned(orig) || b.Start >= peakStep.End || peakStep.Start >= b.End {
+	for k, id := range retained {
+		b := p.Buffers[id]
+		if pinned(id) || b.Start >= peakStep.End || peakStep.Start >= b.End {
 			continue
 		}
 		// Weight per byte of relief; lower is better. Buffers are visited
 		// in ID order, so a tie on score and size keeps the lower ID.
-		score := float64(weights[orig]) / float64(b.Size)
+		score := float64(weights[id]) / float64(b.Size)
 		if best < 0 || score < bestScore || (score == bestScore && b.Size > bestSize) {
-			best, bestScore, bestSize = subID, score, b.Size
+			best, bestScore, bestSize = k, score, b.Size
 		}
 	}
 	return best

@@ -3,7 +3,9 @@ package spill
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/core"
 	"telamalloc/internal/heuristics"
+	"telamalloc/internal/telamon"
 	"telamalloc/internal/workload"
 )
 
@@ -314,27 +317,167 @@ func chooseVictimOracle(sub *buffers.Problem, back []int, weights []int64, pinne
 	return cands[0].id
 }
 
-// TestChooseVictimMatchesSort: the one-pass minimum picks the victim the
-// sort picked, on instances drawn with many ties in score and size.
+// TestChooseVictimMatchesSort: the one-pass minimum over the retained
+// buffers picks the victim the sort over a fresh subset picked, on
+// instances drawn with many ties in score and size. The profile is the
+// whole problem's with the evicted buffers removed, as Make keeps it.
 func TestChooseVictimMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
 		n := rng.Intn(24)
 		p := &buffers.Problem{Memory: 64}
-		back := make([]int, n)
-		weights := make([]int64, 2*n)
-		for j := 0; j < n; j++ {
+		for j := 0; j < 2*n; j++ {
 			start := rng.Int63n(8)
 			p.Buffers = append(p.Buffers, buffers.Buffer{Start: start, End: start + 1 + rng.Int63n(6), Size: 4 << rng.Intn(3)})
-			back[j] = 2*j + rng.Intn(2)
 		}
+		p.Normalize()
+		prof := buffers.Contention(p)
+		var retained []int
+		for j := range p.Buffers {
+			if rng.Intn(2) == 0 {
+				retained = append(retained, j)
+			} else {
+				prof.Remove(p.Buffers[j])
+			}
+		}
+		weights := make([]int64, 2*n)
 		for k := range weights {
 			weights[k] = int64(rng.Intn(4)) * 4
 		}
 		pinnedSet := rng.Int63()
 		pinned := func(orig int) bool { return pinnedSet>>(orig%63)&1 == 1 && orig%5 == 0 }
-		if got, want := chooseVictim(p, back, weights, pinned), chooseVictimOracle(p, back, weights, pinned); got != want {
+		got := chooseVictim(p, retained, prof, weights, pinned)
+		if want := chooseVictimOracle(p.Subset(retained), retained, weights, pinned); got != want {
 			t.Fatalf("instance %d: chooseVictim = %d, sorted choice %d", i, got, want)
 		}
+	}
+}
+
+// makeUngated is Make before the futility gate, kept as the oracle: every
+// attempt calls the allocator, and each retained set's victim is chosen
+// from its own contention profile.
+func makeUngated(req Request) (*Plan, error) {
+	p := req.Problem
+	n := len(p.Buffers)
+	weights := req.Weights
+	if weights == nil {
+		weights = make([]int64, n)
+		for i, b := range p.Buffers {
+			weights[i] = b.Size
+		}
+	}
+	pinned := func(i int) bool { return req.Pinned != nil && req.Pinned[i] }
+	retained := make([]int, n)
+	for i := range retained {
+		retained[i] = i
+	}
+	plan := &Plan{}
+	for {
+		sub := p.Subset(retained)
+		plan.Attempts++
+		sol, err := allocate(req, sub)
+		if err == nil {
+			full := buffers.NewSolution(n)
+			for subID, off := range sol.Offsets {
+				full.Offsets[retained[subID]] = off
+			}
+			plan.Solution = full
+			return plan, nil
+		}
+		if errors.Is(err, ErrAllocatorPanic) || errors.Is(err, core.ErrPanic) {
+			return nil, err
+		}
+		if req.MaxSpills > 0 && len(plan.Spilled) >= req.MaxSpills {
+			return nil, fmt.Errorf("%w: spill cap %d reached", ErrCannotFit, req.MaxSpills)
+		}
+		k := chooseVictim(p, retained, buffers.Contention(sub), weights, pinned)
+		if k < 0 {
+			return nil, ErrCannotFit
+		}
+		victim := retained[k]
+		retained = slices.Delete(retained, k, k+1)
+		plan.Spilled = append(plan.Spilled, victim)
+		plan.SpillCost += weights[victim]
+	}
+}
+
+// counting is an allocator that counts its calls.
+type counting struct {
+	core.Allocator
+	calls int
+}
+
+func (c *counting) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
+	c.calls++
+	return c.Allocator.Allocate(p)
+}
+
+// gateInstance draws a small problem with aligned buffers and memory from
+// 85% of its contention peak to a little above it, where the contention
+// peak, the alignment-slot bound, or neither proves it infeasible.
+func gateInstance(rng *rand.Rand) *buffers.Problem {
+	p := &buffers.Problem{}
+	for i := 0; i < 6+rng.Intn(14); i++ {
+		start := rng.Int63n(10)
+		p.Buffers = append(p.Buffers, buffers.Buffer{
+			Start: start, End: start + 1 + rng.Int63n(6),
+			Size: 1 + rng.Int63n(24), Align: []int64{1, 4, 8, 16}[rng.Intn(4)],
+		})
+	}
+	p.Normalize()
+	peak := buffers.Contention(p).Peak()
+	p.Memory = max(peak*85/100+rng.Int63n(peak*15/100+12), 16)
+	return p
+}
+
+// TestGatedPlannerMatchesUngated: the gated planner returns exactly the
+// ungated planner's plan — spilled buffers, cost, attempts and offsets —
+// while calling the allocator less often. Half of the instances run as
+// the pipeline runs them: the search already failed on the whole problem
+// with the planner's own budget.
+func TestGatedPlannerMatchesUngated(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var gatedCalls, ungatedCalls, searchFailed int
+	for i := 0; i < 300; i++ {
+		p := gateInstance(rng)
+		if p.Validate() != nil {
+			continue
+		}
+		cfg := core.Config{MaxSteps: 2000, Parallelism: 1}
+		req := Request{Problem: p}
+		if rng.Intn(2) == 0 {
+			res := core.Solve(p, cfg)
+			req.SearchFailed = res.Status == telamon.Budget || res.Status == telamon.Exhausted
+			if req.SearchFailed {
+				searchFailed++
+			}
+		}
+		gated, ungated := &counting{Allocator: core.Allocator{Config: cfg}}, &counting{Allocator: core.Allocator{Config: cfg}}
+		req.Allocator = gated
+		got, errGot := Make(req)
+		req.Allocator = ungated
+		want, errWant := makeUngated(req)
+		if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
+			t.Fatalf("instance %d: err %v, ungated %v", i, errGot, errWant)
+		}
+		if errGot == nil {
+			if !slices.Equal(got.Spilled, want.Spilled) || got.SpillCost != want.SpillCost ||
+				got.Attempts != want.Attempts || !slices.Equal(got.Solution.Offsets, want.Solution.Offsets) {
+				t.Fatalf("instance %d: plan %+v, ungated %+v", i, got, want)
+			}
+			if got.Searched != gated.calls {
+				t.Fatalf("instance %d: Searched %d, allocator called %d times", i, got.Searched, gated.calls)
+			}
+		}
+		if gated.calls > ungated.calls {
+			t.Fatalf("instance %d: gated planner called the allocator %d times, ungated %d", i, gated.calls, ungated.calls)
+		}
+		gatedCalls += gated.calls
+		ungatedCalls += ungated.calls
+	}
+	t.Logf("allocator calls: gated %d, ungated %d; %d instances with a failed search", gatedCalls, ungatedCalls, searchFailed)
+	if gatedCalls >= ungatedCalls || searchFailed == 0 {
+		t.Errorf("gated %d calls, ungated %d, %d failed searches: the corpus no longer exercises the gate",
+			gatedCalls, ungatedCalls, searchFailed)
 	}
 }

@@ -321,8 +321,12 @@ type searcher struct {
 	stop Status
 	// sampled is the step count already reported through opts.OnSample.
 	sampled int64
-	// merged is the scratch set of the promoted queue under construction.
-	merged idSet
+	// merged is the scratch set of the promoted queue under construction,
+	// and promoted its storage. promote swaps the built queue into the
+	// target point and keeps the point's old storage, which nothing else
+	// references, for the next promotion.
+	merged   idSet
+	promoted []int
 	// points is the chunk new decision points are carved from: one
 	// allocation per chunk, not per point. Points are never reused, as
 	// callers may key state by *DecisionPoint.
@@ -618,7 +622,7 @@ func (s *searcher) promote(exhausted *DecisionPoint, target int) {
 	dp := st.Stack[target]
 	limit := s.opts.maxCandidates()
 	s.merged.reset(len(st.Prob.Buffers))
-	var queue []int
+	queue := s.promoted[:0]
 	promoted, full := false, false
 	s.candidates(exhausted, 0, func(b int) bool {
 		promoted = true
@@ -641,6 +645,7 @@ func (s *searcher) promote(exhausted *DecisionPoint, target int) {
 			return len(queue) < limit
 		})
 	}
+	s.promoted = dp.Queue[:0]
 	dp.Queue, dp.more, dp.Next = queue, -1, 0
 }
 

@@ -129,8 +129,12 @@ type SpillPlan struct {
 	Spilled []int
 	// SpillCost is the summed weight of evicted buffers.
 	SpillCost int64
-	// Attempts counts allocator invocations during planning.
+	// Attempts counts the retained sets planning tried, from the whole
+	// problem down to the one that packed.
 	Attempts int
+	// Searched counts the attempts that ran the search; the others were
+	// skipped because a proof said they could not succeed (DESIGN.md §8).
+	Searched int
 }
 
 // DecisionTrace is the replayable record of a pipeline win: which stage
@@ -174,6 +178,12 @@ type PipelineResult struct {
 	LowerBound int64
 	// Memory echoes the problem's limit, so LowerBound is interpretable.
 	Memory int64
+	// SlotBound is the alignment-slot lower bound (DESIGN.md §8), set when
+	// the ladder computed it: on reaching its first searching stage, when
+	// the contention peak fits memory. SlotBound > Memory proves no packing
+	// exists. It is 0 when not computed and when no buffer has an
+	// alignment above one.
+	SlotBound int64
 	// Trace is the replayable record of the win, exported for full
 	// (non-degraded) packings so callers can warm-start repeated problems
 	// via WithHints. Nil on failure and for degraded results — a packing
@@ -240,8 +250,11 @@ func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, err
 
 	// Provable infeasibility: no packing fits under the contention peak,
 	// so every packing stage would only burn its budget before failing.
-	// Jump straight to degradation.
-	infeasible := out.LowerBound > p.Memory
+	// Jump straight to degradation. proof says why, "" while none is known.
+	var proof string
+	if out.LowerBound > p.Memory {
+		proof = fmt.Sprintf("provably infeasible: lower bound %d > memory %d", out.LowerBound, p.Memory)
+	}
 
 	fp, perm := cache.Canonicalize(q)
 
@@ -250,7 +263,7 @@ func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, err
 	// ladder for the cost of one validation sweep. An unusable hint (wrong
 	// shape, stale offsets, panic during replay) is silently discarded and
 	// the cold ladder below runs exactly as if no hint existed.
-	if !infeasible && c.hint != nil {
+	if proof == "" && c.hint != nil {
 		if sol := replayTrace(c.hint, q, fp, perm); sol != nil {
 			pm.replays.Inc()
 			out.Winner = c.hint.Winner
@@ -269,14 +282,25 @@ func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, err
 	}
 
 	run := newLadderRun(c, pm, q, ladder, stepPot, globalDeadline)
+	slotChecked := false
 	for i, stage := range ladder {
 		if err := run.ctxErr(); err != nil {
 			run.skipFrom(i, "pipeline cancelled")
 			out.Stages = run.reports
 			return out, fmt.Errorf("%w: %v", ErrCancelled, err)
 		}
-		if infeasible && stage != StageSpill {
-			run.skip(stage, fmt.Sprintf("provably infeasible: lower bound %d > memory %d", out.LowerBound, p.Memory))
+		// The alignment-slot bound is computed where searching starts, not
+		// at entry: the heuristics win many calls, which should not pay for
+		// it.
+		if proof == "" && !slotChecked && (stage == StageSearch || stage == StageSpill) {
+			slotChecked = true
+			out.SlotBound = buffers.AlignSlotBound(q)
+			if out.SlotBound > p.Memory {
+				proof = fmt.Sprintf("provably infeasible: alignment-slot bound %d > memory %d", out.SlotBound, p.Memory)
+			}
+		}
+		if proof != "" && stage != StageSpill {
+			run.skip(stage, proof)
 			continue
 		}
 		rep, sol, plan := run.runStage(stage)
@@ -365,10 +389,14 @@ type ladderRun struct {
 	globalDeadline time.Time
 	reports        []StageReport
 	started        int // stages run or skipped so far
+	// searchFailed is the step budget of a search stage that failed on
+	// the whole problem by running out of steps or exhausting its space,
+	// with no fault hook armed (-1 = none; 0 = unlimited).
+	searchFailed int64
 }
 
 func newLadderRun(c config, pm *pipelineMetrics, q *buffers.Problem, ladder []string, pot int64, deadline time.Time) *ladderRun {
-	return &ladderRun{c: c, pm: pm, q: q, ladder: ladder, remainingSteps: pot, globalDeadline: deadline}
+	return &ladderRun{c: c, pm: pm, q: q, ladder: ladder, remainingSteps: pot, globalDeadline: deadline, searchFailed: -1}
 }
 
 func (lr *ladderRun) ctxErr() error {
@@ -503,6 +531,12 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 		cfg := lr.searchConfig(steps, deadline)
 		res := core.Solve(lr.q, cfg)
 		st := statsFrom(res)
+		// A deadline cut leaves the search past it; a fault hook can
+		// starve or stop any search. Neither says what another run would do.
+		stepsOut := res.Status == telamon.Budget && (deadline.IsZero() || time.Now().Before(deadline))
+		if (stepsOut || res.Status == telamon.Exhausted) && cfg.Hook == nil {
+			lr.searchFailed = steps
+		}
 		switch res.Status {
 		case telamon.Solved:
 			return res.Solution, nil, st, nil
@@ -516,36 +550,39 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 			return nil, nil, st, fmt.Errorf("%w: search stage", ErrNoSolution)
 		}
 	case StageSpill:
-		cfg := lr.searchConfig(steps, deadline)
+		alloc := &effortAllocator{Allocator: core.Allocator{Config: lr.searchConfig(steps, deadline)}}
 		req := spill.Request{
 			Problem:   lr.q,
 			Weights:   lr.c.pipe.weights,
 			Pinned:    lr.c.pipe.pinned,
-			Allocator: core.Allocator{Config: cfg},
+			Allocator: alloc,
 			MaxSpills: lr.c.pipe.maxSpills,
 			Ctx:       lr.c.ctx,
 			Deadline:  deadline,
+			// The search is deterministic: a budget no larger than the one
+			// it failed with fails too (0 = unlimited).
+			SearchFailed: lr.searchFailed == 0 || (lr.searchFailed > 0 && steps > 0 && steps <= lr.searchFailed),
 		}
 		plan, err := spill.Make(req)
 		if err != nil {
 			switch {
 			case errors.Is(err, spill.ErrCancelled):
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrCancelled, err)
+				err = fmt.Errorf("%w: spill stage: %v", ErrCancelled, err)
 			case errors.Is(err, spill.ErrDeadline):
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrBudget, err)
+				err = fmt.Errorf("%w: spill stage: %v", ErrBudget, err)
 			case errors.Is(err, spill.ErrAllocatorPanic), errors.Is(err, core.ErrPanic):
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrInternal, err)
-			case errors.Is(err, spill.ErrCannotFit):
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrNoSolution, err)
+				err = fmt.Errorf("%w: spill stage: %v", ErrInternal, err)
 			default:
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrNoSolution, err)
+				err = fmt.Errorf("%w: spill stage: %v", ErrNoSolution, err)
 			}
+			return nil, nil, alloc.stats, err
 		}
 		return plan.Solution, &SpillPlan{
 			Spilled:   append([]int(nil), plan.Spilled...),
 			SpillCost: plan.SpillCost,
 			Attempts:  plan.Attempts,
-		}, Stats{}, nil
+			Searched:  plan.Searched,
+		}, alloc.stats, nil
 	}
 	return nil, nil, Stats{}, fmt.Errorf("%w: unknown pipeline stage %q", ErrInvalidProblem, stage)
 }
@@ -557,6 +594,28 @@ func (lr *ladderRun) searchConfig(steps int64, deadline time.Time) core.Config {
 	cfg.MaxSteps = steps
 	cfg.Deadline = deadline
 	return cfg
+}
+
+// effortAllocator is the spill stage's allocator: core.Allocator, summing
+// the effort of every search it runs into stats.
+type effortAllocator struct {
+	core.Allocator
+	stats Stats
+}
+
+func (a *effortAllocator) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
+	return a.AllocateContext(context.Background(), p)
+}
+
+func (a *effortAllocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error) {
+	res := a.SolveContext(ctx, p)
+	st := statsFrom(res)
+	a.stats.Steps += st.Steps
+	a.stats.Placements += st.Placements
+	a.stats.MinorBacktracks += st.MinorBacktracks
+	a.stats.MajorBacktracks += st.MajorBacktracks
+	a.stats.Subproblems += st.Subproblems
+	return res.Allocated()
 }
 
 func statsFrom(res core.Result) Stats {
