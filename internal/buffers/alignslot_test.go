@@ -59,11 +59,8 @@ func slotBoundHolds(p *buffers.Problem) (decided, packed bool, err error) {
 	res := ilp.Solve(p, nil, ilp.Options{MaxSteps: 200000})
 	switch res.Status {
 	case ilp.Solved:
-		// The oracle reports Solved without branching when its root
-		// propagation conflicts but leaves no pair undecided; the offsets
-		// it then returns overlap and prove nothing.
-		if res.Solution.Validate(p) != nil {
-			return false, false, nil
+		if err := res.Solution.Validate(p); err != nil {
+			return true, true, fmt.Errorf("the exact oracle's packing is invalid: %v", err)
 		}
 		if used := res.Solution.PeakUsage(p); bound > used {
 			return true, true, fmt.Errorf("bound %d above a valid packing's peak %d (memory %d)", bound, used, p.Memory)

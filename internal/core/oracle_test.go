@@ -484,3 +484,28 @@ func TestCandidateWorkGate(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorRewindGate bounds the cursor rewinds of the budget-exhausting
+// Image Model 1/s3 search at 100% of its peak. Only a major backtrack
+// unplaces a buffer a decision point saw placed, so the cursors rewind at
+// most once per major backtrack. Rewinding whenever Pop reverted any
+// placement, the failed one of every minor backtrack included, cost 5,891
+// rewinds for 111 major backtracks here, and 6.74 phase visits per decision
+// point to re-cross the dead phases after each; the gate allows 3.
+func TestCursorRewindGate(t *testing.T) {
+	p := atPeakPct(workload.GenImageModel1(3), 100)
+	tp := newPolicy(p, Config{})
+	res := telamon.Search(p, nil, tp, tmOptions(Config{MaxSteps: 20000}))
+	visits := float64(tp.visited) / float64(tp.opened)
+	t.Logf("%v: %d steps, %d major backtracks, %d rewinds, %d decision points, %.2f phase visits each",
+		res.Status, res.Stats.Steps, res.Stats.MajorBacktracks, tp.rewinds, tp.opened, visits)
+	if res.Status != telamon.Budget {
+		t.Fatalf("%v, want a budget-exhausting search", res.Status)
+	}
+	if int64(tp.rewinds) > res.Stats.MajorBacktracks+1 {
+		t.Errorf("%d rewinds, want at most %d major backtracks + 1", tp.rewinds, res.Stats.MajorBacktracks)
+	}
+	if visits > 3 {
+		t.Errorf("%.2f phase visits per decision point, want at most 3", visits)
+	}
+}

@@ -16,7 +16,7 @@ import (
 // each phase keeps its buffers sorted by the three §5.1 criteria plus one
 // cursor per order, and a decision point reads each pick from a cursor that
 // skips placed buffers. Cursors only move forward while the placed set only
-// grows; when the model reports an undone placement they rewind. The
+// grows; when a placement they saw is undone they rewind. The
 // current phase's picks are handed out when a decision point opens, the
 // other phases' one phase per later batch, and a skip pointer per phase
 // jumps over phases with nothing left to place; the fallback follows, one
@@ -34,12 +34,13 @@ type telaPolicy struct {
 	// fallback is every buffer by decreasing area, then increasing ID: the
 	// order of the last batches at expensive decision points.
 	fallback []int
-	// undone is the model's PlacementsUndone count at the last call.
-	undone uint64
+	// mark is the model's placed set at the last call: the cursors hold
+	// while it is intact.
+	mark cp.Mark
 	// opened, picked and visited count decision points, the phase picks
-	// handed out to them and the phases the phase walk looked at: the work
-	// the tests bound per decision point.
-	opened, picked, visited int
+	// handed out to them and the phases the phase walk looked at, and
+	// rewinds the cursor rewinds: the work the tests bound.
+	opened, picked, visited, rewinds int
 }
 
 // phaseOrders is one phase's buffers in the three §5.1 orders, with a
@@ -104,13 +105,16 @@ func (tp *telaPolicy) rewind() {
 	}
 }
 
-// sync rewinds the cursors if the model undid a placement since the last
-// call: until it does, the placed set only grows and the cursors hold.
+// sync rewinds the cursors if a buffer placed at the last call has been
+// unplaced since: until one is, the placed set only grows and the cursors
+// hold. A placement made and undone between two calls, such as a failed
+// Place and its Pop, leaves them be.
 func (tp *telaPolicy) sync(m *cp.Model) {
-	if u := m.PlacementsUndone(); u != tp.undone {
-		tp.undone = u
+	if !m.Intact(tp.mark) {
+		tp.rewinds++
 		tp.rewind()
 	}
+	tp.mark = m.PlacedMark()
 }
 
 // fill sorts ids into the three orders, stored back to back in dst. The

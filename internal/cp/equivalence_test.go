@@ -12,7 +12,8 @@ import (
 
 // lockstep applies every operation to a Model and to the reference engine
 // and fails at the first observable difference: bounds, placements, pair
-// orders, Stats (PairWakeups included) or the returned conflict. After each
+// orders, Stats (PairWakeups included), the returned conflict or the lowest
+// feasible position of an unplaced buffer, conflicted states included. After each
 // operation it also recomputes Model's bitmasks and counters from scratch
 // and checks the propagation invariant: at a fixpoint every pair is idle.
 type lockstep struct {
@@ -107,6 +108,13 @@ func (ls *lockstep) diff(got, want *Conflict) error {
 		if m.MinPos(i) != ref.MinPos(i) || m.MaxPos(i) != ref.MaxPos(i) || m.Placed(i) != ref.Placed(i) {
 			return fmt.Errorf("buffer %d: [%d, %d] placed=%v, reference [%d, %d] placed=%v",
 				i, m.MinPos(i), m.MaxPos(i), m.Placed(i), ref.MinPos(i), ref.MaxPos(i), ref.Placed(i))
+		}
+		if m.Placed(i) {
+			continue
+		}
+		pos, ok := m.LowestFeasible(i)
+		if rpos, rok := ref.LowestFeasible(i); ok != rok || (ok && pos != rpos) {
+			return fmt.Errorf("buffer %d: LowestFeasible (%d, %v), reference (%d, %v)", i, pos, ok, rpos, rok)
 		}
 	}
 	if m.NumPairs() != ref.NumPairs() {

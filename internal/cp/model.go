@@ -134,11 +134,11 @@ type Model struct {
 	minReason []int32
 	maxReason []int32
 	placed    []bool
-	// numPlaced counts the true entries of placed, so AllPlaced is O(1).
-	numPlaced int
-	// undone counts placements Pop has reverted over the model's lifetime;
-	// see PlacementsUndone.
-	undone uint64
+	// serials is the stack of placements in the order Place made them, each
+	// entry the serial of one placement (see PlacedMark); its height is the
+	// number of placed buffers. nextSerial is the next placement's serial.
+	serials    []uint64
+	nextSerial uint64
 
 	pairs []Pair
 	order []Order
@@ -162,6 +162,10 @@ type Model struct {
 	// conflict is the storage every other returned conflict lives in,
 	// overwritten by the next one.
 	conflict Conflict
+	// conflictLevel is the decision level at which the oldest conflict not
+	// yet undone by Pop was returned (0 for a root conflict), or -1 while
+	// the model is at a propagation fixpoint.
+	conflictLevel int
 
 	trail  []trailEntry
 	levels []int
@@ -211,14 +215,16 @@ func NewModel(p *buffers.Problem, ov *buffers.Overlaps) *Model {
 		reasons[i] = -1
 	}
 	m := &Model{
-		prob:      p,
-		ov:        ov,
-		posMin:    bounds[:n:n],
-		posMax:    bounds[n:],
-		minReason: reasons[:n:n],
-		maxReason: reasons[n:],
-		placed:    make([]bool, n),
-		gate:      make([]varGate, n),
+		prob:          p,
+		ov:            ov,
+		posMin:        bounds[:n:n],
+		posMax:        bounds[n:],
+		minReason:     reasons[:n:n],
+		maxReason:     reasons[n:],
+		placed:        make([]bool, n),
+		serials:       make([]uint64, 0, n),
+		gate:          make([]varGate, n),
+		conflictLevel: -1,
 	}
 	var slots, words int32
 	for i, b := range p.Buffers {
@@ -311,11 +317,34 @@ func (m *Model) Placed(buf int) bool { return m.placed[buf] }
 // Position returns the fixed position of a placed buffer.
 func (m *Model) Position(buf int) int64 { return m.posMin[buf] }
 
-// PlacementsUndone counts the placements Pop has reverted so far. The count
-// only grows, so a caller that remembers it can tell in O(1) whether any
-// buffer was unplaced since: while it is unchanged, the placed set has only
-// grown.
-func (m *Model) PlacementsUndone() uint64 { return m.undone }
+// RootConflict returns the conflict the root fixpoint ran into, or nil when
+// the model is satisfiable as far as propagation can tell. A model with a
+// root conflict has no solution.
+func (m *Model) RootConflict() *Conflict { return m.rootConflict }
+
+// Mark identifies the set of buffers placed when PlacedMark was called.
+type Mark struct {
+	height int
+	serial uint64
+}
+
+// PlacedMark returns a mark of the buffers placed now: the height of the
+// placement stack and the serial of its top entry.
+func (m *Model) PlacedMark() Mark {
+	mk := Mark{height: len(m.serials)}
+	if mk.height > 0 {
+		mk.serial = m.serials[mk.height-1]
+	}
+	return mk
+}
+
+// Intact reports in O(1) whether every buffer placed at mk is still placed:
+// the placed set has only grown since. Placements sit on a stack, so one
+// of them is unplaced only when the stack drops below it, and every entry
+// pushed after that carries a fresh serial.
+func (m *Model) Intact(mk Mark) bool {
+	return len(m.serials) >= mk.height && (mk.height == 0 || m.serials[mk.height-1] == mk.serial)
+}
 
 // Level returns the current decision level (number of pushes).
 func (m *Model) Level() int { return len(m.levels) }
@@ -357,12 +386,26 @@ func (m *Model) Pop() {
 		case tPlaced:
 			if e.old == 0 {
 				m.placed[e.idx] = false
-				m.numPlaced--
-				m.undone++
+				m.serials = m.serials[:len(m.serials)-1]
 			}
 		}
 	}
 	m.clearQueue()
+	if len(m.levels) < m.conflictLevel {
+		m.conflictLevel = -1
+	}
+}
+
+// fail records a conflict the model is about to return: it counts it,
+// drops the pending worklist and notes that the model left its fixpoint
+// until a Pop undoes the current level.
+func (m *Model) fail(c *Conflict) *Conflict {
+	m.stats.Conflicts++
+	m.clearQueue()
+	if m.conflictLevel < 0 {
+		m.conflictLevel = len(m.levels)
+	}
+	return c
 }
 
 func (m *Model) clearQueue() {
@@ -570,22 +613,14 @@ func (m *Model) Place(buf int, pos int64) *Conflict {
 		was = 1
 	} else {
 		m.placed[buf] = true
-		m.numPlaced++
+		m.serials = append(m.serials, m.nextSerial)
+		m.nextSerial++
 	}
 	m.trail = append(m.trail, trailEntry{kind: tPlaced, idx: v, old: was})
-	if !m.setMin(v, pos, -1) || !m.setMax(v, pos, -1) {
-		m.stats.Conflicts++
-		c := m.explainVar(Pair{v, v}, v)
-		m.clearQueue()
-		return c
-	}
-	// Guard against a pos that is below the current minimum (setMin is a
-	// no-op then, but the placement is still invalid).
-	if m.posMin[buf] != pos || m.posMax[buf] != pos {
-		m.stats.Conflicts++
-		c := m.explainVar(Pair{v, v}, v)
-		m.clearQueue()
-		return c
+	// The last two tests guard against a pos below the current minimum:
+	// setMin is a no-op then, but the placement is still invalid.
+	if !m.setMin(v, pos, -1) || !m.setMax(v, pos, -1) || m.posMin[buf] != pos || m.posMax[buf] != pos {
+		return m.fail(m.explainVar(Pair{v, v}, v))
 	}
 	return m.Propagate()
 }
@@ -600,9 +635,7 @@ func (m *Model) Propagate() *Conflict {
 		c := m.propagatePair(k)
 		m.inQueue[k] = false
 		if c != nil {
-			m.stats.Conflicts++
-			m.clearQueue()
-			return c
+			return m.fail(c)
 		}
 	}
 	m.queue = m.queue[:0]
@@ -661,17 +694,14 @@ func (m *Model) FixOrder(k int, o Order) *Conflict {
 			return nil
 		}
 		// Contradicting an already-propagated ordering: conflict.
-		m.stats.Conflicts++
-		return m.explainPair(m.pairs[k])
+		return m.fail(m.explainPair(m.pairs[k]))
 	}
 	m.setOrder(int32(k), o)
 	m.inQueue[k] = true
 	c := m.propagatePair(int32(k))
 	m.inQueue[k] = false
 	if c != nil {
-		m.stats.Conflicts++
-		m.clearQueue()
-		return c
+		return m.fail(c)
 	}
 	return m.Propagate()
 }

@@ -23,6 +23,8 @@ func TestNumPairsGrowsQuadratically(t *testing.T) {
 	}
 }
 
+// TestFreeSlackShrinksUnderPropagation: placing a buffer narrows its
+// neighbour's domain, posMax - posMin.
 func TestFreeSlackShrinksUnderPropagation(t *testing.T) {
 	p := &buffers.Problem{
 		Buffers: []buffers.Buffer{
@@ -33,13 +35,13 @@ func TestFreeSlackShrinksUnderPropagation(t *testing.T) {
 	}
 	p.Normalize()
 	m := NewModel(p, nil)
-	before := m.FreeSlack(1)
+	slack := func() int64 { return m.MaxPos(1) - m.MinPos(1) }
+	before := slack()
 	m.Push()
 	if c := m.Place(0, 0); c != nil {
 		t.Fatalf("place: %v", c)
 	}
-	after := m.FreeSlack(1)
-	if after >= before {
+	if after := slack(); after >= before {
 		t.Errorf("slack did not shrink: %d -> %d", before, after)
 	}
 }
@@ -65,7 +67,11 @@ func TestLevelTracking(t *testing.T) {
 	}
 }
 
-func TestOccupiedIntervalsMergesNeighbours(t *testing.T) {
+// TestLowestFeasibleOffFixpoint: at a fixpoint the lowest feasible
+// position is the propagated lower bound, above the merged placed
+// neighbours; after a conflict, until its Pop, the placed neighbours are
+// scanned against the wiped-out bounds, which leave no position.
+func TestLowestFeasibleOffFixpoint(t *testing.T) {
 	p := &buffers.Problem{
 		Buffers: []buffers.Buffer{
 			{Start: 0, End: 10, Size: 4},  // will occupy [0,4)
@@ -77,25 +83,30 @@ func TestOccupiedIntervalsMergesNeighbours(t *testing.T) {
 	}
 	p.Normalize()
 	m := NewModel(p, nil)
+	for _, pl := range []struct {
+		buf int
+		pos int64
+	}{{0, 0}, {1, 4}, {3, 0}} {
+		m.Push()
+		if c := m.Place(pl.buf, pl.pos); c != nil {
+			t.Fatal(c)
+		}
+	}
+	if pos, ok := m.LowestFeasible(2); !ok || pos != 8 {
+		t.Errorf("at the fixpoint: LowestFeasible = (%d, %v), want (8, true)", pos, ok)
+	}
+	// Buffer 2 cannot sit at 2: the conflict leaves the model off its
+	// fixpoint with buffer 2's bounds wiped out.
 	m.Push()
-	if c := m.Place(0, 0); c != nil {
-		t.Fatal(c)
+	if c := m.Place(2, 2); c == nil {
+		t.Fatal("Place(2, 2) over placed neighbours returned no conflict")
 	}
-	m.Push()
-	if c := m.Place(1, 4); c != nil {
-		t.Fatal(c)
+	if pos, ok := m.LowestFeasible(2); ok {
+		t.Errorf("after the conflict: LowestFeasible = %d, want none", pos)
 	}
-	m.Push()
-	if c := m.Place(3, 0); c != nil {
-		t.Fatal(c)
-	}
-	occ := m.OccupiedIntervals(2)
-	if len(occ) != 1 || occ[0].Lo != 0 || occ[0].Hi != 8 {
-		t.Errorf("OccupiedIntervals = %v, want [{0 8}]", occ)
-	}
-	pos, ok := m.LowestFeasible(2)
-	if !ok || pos != 8 {
-		t.Errorf("LowestFeasible = (%d, %v), want (8, true)", pos, ok)
+	m.Pop()
+	if pos, ok := m.LowestFeasible(2); !ok || pos != 8 {
+		t.Errorf("after the Pop: LowestFeasible = (%d, %v), want (8, true)", pos, ok)
 	}
 }
 

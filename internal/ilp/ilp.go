@@ -141,6 +141,12 @@ func SolveWithFixed(p *buffers.Problem, ov *buffers.Overlaps, fixed []int64, opt
 		}
 	}
 	m := cp.NewModel(p, ov)
+	if m.RootConflict() != nil {
+		// Propagation alone proves p infeasible; with no pair left
+		// undecided the search would branch on nothing and read the
+		// wiped-out bounds as a packing.
+		return Result{Status: Infeasible, Conflicts: 1}
+	}
 	s := &searcher{m: m, opts: opts}
 	s.pairSize = make([]int64, m.NumPairs())
 	for k := range s.pairSize {

@@ -55,6 +55,29 @@ func TestSolveInfeasible(t *testing.T) {
 	}
 }
 
+// TestSolveRootConflictWithNothingToBranch: root propagation wipes this
+// instance out (FuzzAlignSlotBound's ad42ce9fb908db2d) and fixes every
+// pair's order on the way, so no pair is left to branch on. The solver must
+// report it infeasible, not hand back the wiped-out bounds as a packing.
+func TestSolveRootConflictWithNothingToBranch(t *testing.T) {
+	p := &buffers.Problem{
+		Buffers: []buffers.Buffer{
+			{Start: 0, End: 1, Size: 1, Align: 4},
+			{Start: 0, End: 2, Size: 2, Align: 2},
+			{Start: 2, End: 3, Size: 2, Align: 4},
+			{Start: 0, End: 2, Size: 9, Align: 2},
+			{Start: 0, End: 4, Size: 1, Align: 8},
+		},
+		Memory: 13,
+	}
+	p.Normalize()
+	for _, fixed := range [][]int64{nil, {-1, -1, 0, -1, -1}} {
+		if res := SolveWithFixed(p, nil, fixed, Options{}); res.Status != Infeasible {
+			t.Errorf("fixed %v: status %v with offsets %v, want infeasible", fixed, res.Status, res.Solution)
+		}
+	}
+}
+
 func TestSolveFigure1Instance(t *testing.T) {
 	// A rendition of the paper's Figure 1: the blue buffer (7) must go
 	// between the long buffers; a greedy skyline would fail at this memory
