@@ -3,6 +3,7 @@ package telamalloc
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // Allocator is a configured, reusable allocation handle: options are
@@ -11,20 +12,17 @@ import (
 // itself. A handle is safe for concurrent use; per-call options specialise a
 // private copy of the configuration and never mutate the handle.
 //
-// Deadline resolution (earliest wins). Each call's effective stop time is
-// the earliest of
+// Stopping a call. A call stops early for one of two reasons, each
+// observed cooperatively within the search's polling stride:
 //
-//   - WithTimeout, measured from the moment the solve starts;
-//   - the deadline of the call context passed to Allocate or Pipeline;
-//   - the deadline of a WithContext context.
+//   - its WithTimeout budget, measured from the moment the call starts,
+//     runs out: the call fails with ErrBudget;
+//   - the ctx passed to Allocate or Pipeline is done — cancelled or past
+//     its deadline: the call fails with ErrCancelled. To cancel a call,
+//     pass a context from context.WithCancel.
 //
-// Cancellation of either context, or a WithCancel hook returning true,
-// stops the call as soon as it is observed — cooperatively, within the
-// search's polling stride. The source of the stop picks the sentinel: an
-// expired WithTimeout surfaces as ErrBudget; a done context or a firing
-// WithCancel hook surfaces as ErrCancelled. When several sources are
-// already expired at the same poll, cancellation (context/hook) is checked
-// before the wall-clock deadline, so ErrCancelled wins ties.
+// When both have fired by the same poll, the context is checked before the
+// wall-clock deadline, so ErrCancelled wins ties.
 type Allocator struct {
 	cfg config
 	pm  *pipelineMetrics
@@ -43,8 +41,8 @@ func New(opts ...Option) (*Allocator, error) {
 }
 
 // callConfig specialises the handle's configuration for one call: clone,
-// apply per-call options (re-validating only when there are any), and merge
-// the call context under the earliest-wins rule.
+// apply per-call options (re-validating only when there are any), resolve
+// WithTimeout into the call's deadline and bind the call context.
 func (a *Allocator) callConfig(ctx context.Context, opts []Option) (config, *pipelineMetrics, error) {
 	c := a.cfg.clone()
 	pm := a.pm
@@ -59,15 +57,20 @@ func (a *Allocator) callConfig(ctx context.Context, opts []Option) (config, *pip
 			pm = pipelineMetricsFor(c.registry())
 		}
 	}
-	c.bindContext(ctx)
+	if c.timeout > 0 {
+		c.core.Deadline = time.Now().Add(c.timeout)
+	}
+	if ctx != context.Background() {
+		c.core.Ctx = ctx
+	}
 	return c, pm, nil
 }
 
 // Allocate packs the problem's buffers with TelaMalloc under the handle's
 // configuration, optionally specialised by per-call options. A nil error
 // guarantees the returned solution is valid: every buffer in bounds,
-// aligned, and disjoint from temporal neighbours. ctx participates in the
-// earliest-wins deadline rule documented on Allocator.
+// aligned, and disjoint from temporal neighbours. ctx stops the call as
+// documented on Allocator.
 func (a *Allocator) Allocate(ctx context.Context, p Problem, opts ...Option) (Solution, Stats, error) {
 	c, _, err := a.callConfig(ctx, opts)
 	if err != nil {
@@ -78,8 +81,8 @@ func (a *Allocator) Allocate(ctx context.Context, p Problem, opts ...Option) (So
 
 // Pipeline packs the problem through the escalation ladder (greedy →
 // best-fit → search → spill by default) under the handle's configuration.
-// See AllocatePipeline for the result contract; ctx participates in the
-// earliest-wins deadline rule documented on Allocator.
+// See AllocatePipeline for the result contract; ctx stops the call as
+// documented on Allocator.
 func (a *Allocator) Pipeline(ctx context.Context, p Problem, opts ...Option) (PipelineResult, error) {
 	c, pm, err := a.callConfig(ctx, opts)
 	if err != nil {

@@ -31,16 +31,18 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 }
 
-// TestDeadlinePrecedence pins the Allocator's earliest-wins deadline rule:
-// whichever stop source has already fired when the solve first polls decides
-// the sentinel — WithTimeout → ErrBudget; a done context (WithContext or the
-// call context) or a WithCancel hook → ErrCancelled — and cancellation
-// outranks the wall clock on ties because the search polls Cancel first.
+// TestDeadlinePrecedence pins how a call stops: whichever stop source has
+// already fired when the solve first polls decides the sentinel —
+// WithTimeout → ErrBudget; a done call context → ErrCancelled — and
+// cancellation outranks the wall clock on ties because the search polls
+// the context first.
 func TestDeadlinePrecedence(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancelExpired()
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
 
 	cases := []struct {
 		name string
@@ -52,19 +54,10 @@ func TestDeadlinePrecedence(t *testing.T) {
 			[]telamalloc.Option{telamalloc.WithTimeout(time.Nanosecond)}, telamalloc.ErrBudget},
 		{"call context cancelled", cancelled, nil, telamalloc.ErrCancelled},
 		{"call context deadline passed", expired, nil, telamalloc.ErrCancelled},
-		{"WithContext cancelled", context.Background(),
-			[]telamalloc.Option{telamalloc.WithContext(cancelled)}, telamalloc.ErrCancelled},
-		{"WithCancel fires", context.Background(),
-			[]telamalloc.Option{telamalloc.WithCancel(func() bool { return true })}, telamalloc.ErrCancelled},
 		{"cancellation outranks expired timeout", cancelled,
 			[]telamalloc.Option{telamalloc.WithTimeout(time.Nanosecond)}, telamalloc.ErrCancelled},
-		{"timeout expires under live contexts", context.Background(),
-			[]telamalloc.Option{
-				telamalloc.WithTimeout(time.Nanosecond),
-				telamalloc.WithContext(context.TODO()),
-			}, telamalloc.ErrBudget},
-		{"WithContext cancelled while call context live", context.TODO(),
-			[]telamalloc.Option{telamalloc.WithContext(cancelled)}, telamalloc.ErrCancelled},
+		{"timeout expires under live contexts", live,
+			[]telamalloc.Option{telamalloc.WithTimeout(time.Nanosecond)}, telamalloc.ErrBudget},
 	}
 	p := figure1()
 	for _, tc := range cases {

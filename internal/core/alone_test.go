@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -242,27 +244,39 @@ func TestInjectedFaultsOnOneBufferGroups(t *testing.T) {
 	}
 }
 
-// TestCancelAndDeadlineOnOneBufferGroups: a passed deadline and a Cancel
-// hook that fires stop one-buffer groups exactly as their searches do. The
-// search polls cancel and then the deadline at its first budget check; the
-// shortcut takes that poll instead, and a search it falls back to hears the
-// same answer rather than polling again. So Cancel sees the same calls:
-// one when the group starts, one at the first poll.
+// pollCtx is a context whose Err reports cancellation from its n-th call
+// on: a cancel landing at a chosen poll.
+type pollCtx struct {
+	context.Context
+	polls, from int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.polls >= c.from {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelAndDeadlineOnOneBufferGroups: a passed deadline and a context
+// cancelled at a given poll stop one-buffer groups exactly as their
+// searches do. The search polls the context and then the deadline at its
+// first budget check; the shortcut takes that poll instead, and a search it
+// falls back to polls again, which hears the same answer because a done
+// context stays done.
 func TestCancelAndDeadlineOnOneBufferGroups(t *testing.T) {
 	p := workload.NonOverlapping(50, 1)
 	type outcome struct {
 		status telamon.Status
 		steps  int64
-		calls  int64 // Cancel calls
-		at     int   // first group not solved, -1 for none
+		at     int // first group not solved, -1 for none
 	}
-	run := func(cfg Config, fire func(call int64) bool) (Result, outcome) {
-		var calls atomic.Int64
+	run := func(cfg Config, from int64) (Result, outcome) {
 		cfg.Parallelism = 1
 		cfg.MaxSteps = 1000
-		cfg.Cancel = func() bool { return fire(calls.Add(1)) }
+		cfg.Ctx = &pollCtx{Context: context.Background(), from: from}
 		res := Solve(p, cfg)
-		o := outcome{status: res.Status, steps: res.Stats.Steps, calls: calls.Load(), at: -1}
+		o := outcome{status: res.Status, steps: res.Stats.Steps, at: -1}
 		for i, g := range res.Groups {
 			if g.Status != telamon.Solved {
 				o.at = i
@@ -271,24 +285,21 @@ func TestCancelAndDeadlineOnOneBufferGroups(t *testing.T) {
 		}
 		return res, o
 	}
-	never := func(int64) bool { return false }
+	const never = math.MaxInt64
 	cases := []struct {
 		name string
 		cfg  Config
-		fire func(call int64) bool
+		from int64 // first poll that reports cancellation
 		want outcome
 	}{
 		{"deadline-passed", Config{Deadline: time.Now().Add(-time.Second)}, never,
-			outcome{telamon.Budget, 0, 100, 0}},
-		// Group 7 starts on call 15 and polls on call 16.
-		{"cancel-at-start", Config{}, func(c int64) bool { return c >= 15 }, outcome{telamon.Cancelled, 7, 57, 7}},
-		{"cancel-at-poll", Config{}, func(c int64) bool { return c >= 16 }, outcome{telamon.Cancelled, 7, 58, 7}},
-		// A Cancel that fires once: group 7's search stops on it, and the
-		// later groups, polled again, run to completion.
-		{"cancel-once-at-poll", Config{}, func(c int64) bool { return c == 16 }, outcome{telamon.Cancelled, 7, 100, 7}},
+			outcome{telamon.Budget, 0, 0}},
+		// Group 7 starts on poll 15 and polls again on poll 16.
+		{"cancel-at-start", Config{}, 15, outcome{telamon.Cancelled, 7, 7}},
+		{"cancel-at-poll", Config{}, 16, outcome{telamon.Cancelled, 7, 7}},
 	}
 	for _, tc := range cases {
-		res, got := run(tc.cfg, tc.fire)
+		res, got := run(tc.cfg, tc.from)
 		if got != tc.want {
 			t.Fatalf("%s: %+v, want %+v", tc.name, got, tc.want)
 		}
@@ -301,7 +312,7 @@ func TestCancelAndDeadlineOnOneBufferGroups(t *testing.T) {
 			}
 		}
 		// The search-only solve agrees on everything but wall-clock time.
-		_, ref := run(searchOnly(tc.cfg), tc.fire)
+		_, ref := run(searchOnly(tc.cfg), tc.from)
 		if ref != got {
 			t.Fatalf("%s: %+v, the search-only solve gave %+v", tc.name, got, ref)
 		}

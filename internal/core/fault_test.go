@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,26 +104,6 @@ func TestPanicInGateAttributed(t *testing.T) {
 	}
 	if !errors.Is(res.Err, ErrPanic) || !strings.Contains(res.Err.Error(), "candidate gate") {
 		t.Fatalf("err %v: want ErrPanic attributed to the candidate gate", res.Err)
-	}
-}
-
-func TestPanicInCancelHookAttributed(t *testing.T) {
-	p := multiGroup(t)
-	for _, par := range faultParallelisms {
-		var calls atomic.Int64
-		cancel := func() bool {
-			if calls.Add(1) >= 2 {
-				panic("cancel hook dereferenced nil state")
-			}
-			return false
-		}
-		res := Solve(p, Config{Parallelism: par, Cancel: cancel})
-		if res.Status != telamon.Internal {
-			t.Fatalf("parallelism %d: status %v, want internal-error", par, res.Status)
-		}
-		if !errors.Is(res.Err, ErrPanic) || !strings.Contains(res.Err.Error(), "cancel hook") {
-			t.Fatalf("parallelism %d: err %v: want ErrPanic attributed to the cancel hook", par, res.Err)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,8 +27,11 @@ func retryComponent(sub *buffers.Problem, cfg Config, budget int64, sample func(
 			err = internalError(fmt.Sprintf("subproblem group %d (retry)", i), rec)
 		}
 	}()
-	return solveComponent(sub, cfg, budget, cfg.Cancel, sample, i), nil
+	return solveComponent(sub, cfg, budget, func() bool { return done(cfg.Ctx) }, sample, i), nil
 }
+
+// done reports whether the call's context has ended (false without one).
+func done(ctx context.Context) bool { return ctx != nil && ctx.Err() != nil }
 
 // placeAlone is the result the search reports for a one-buffer group that
 // passes its budget checks. Offset 0 is aligned and, since Validate
@@ -51,27 +55,14 @@ func placeAlone(b buffers.Buffer, memory int64) telamon.Result {
 	return res
 }
 
-// replayFirst returns a cancel hook that answers its first call with first
-// and polls cancel after that.
-func replayFirst(first bool, cancel func() bool) func() bool {
-	replayed := false
-	return func() bool {
-		if !replayed {
-			replayed = true
-			return first
-		}
-		return cancel()
-	}
-}
-
 // GroupReport describes the outcome of one independent subproblem (§5.3
 // split component), in group (time) order.
 type GroupReport struct {
 	// Buffers is the number of buffers in the group.
 	Buffers int
 	// Status is the group's final framework status. Cancelled means a
-	// sibling group's definitive failure (or the caller's Cancel hook)
-	// stopped this search before it reached its own verdict.
+	// sibling group's definitive failure (or the caller's context) stopped
+	// this search before it reached its own verdict.
 	Status telamon.Status
 	// Steps is the group's final step count. When the group was retried,
 	// this is the retry's count: the retry replaces the first attempt.
@@ -170,8 +161,10 @@ func lowerFailed(failed *atomic.Int64, i int) {
 // A one-buffer group is answered without a search (placeAlone) when that
 // cannot change what any caller observes: no fault-injection hook or
 // candidate gate would have been called, and the cancel and deadline polls
-// of the search's first budget check, taken here instead, pass. sample
-// receives each group's steps, as the search's OnSample would.
+// of the search's first budget check, taken here instead, pass. Both stop
+// sources only stay stopped once they fire, so a search the shortcut falls
+// back to hears the same answer when it polls again. sample receives each
+// group's steps, as the search's OnSample would.
 func solveGroups(p *buffers.Problem, cfg Config, groups [][]int, sample func(int64)) Result {
 	n := len(groups)
 	runs := make([]groupRun, n)
@@ -183,9 +176,9 @@ func solveGroups(p *buffers.Problem, cfg Config, groups [][]int, sample func(int
 	failed.Store(int64(n))
 
 	// polls is group i's cancellation poll: a lower group failed for real,
-	// or the caller cancelled.
+	// or the call's context ended.
 	polls := func(i int) bool {
-		return failed.Load() < int64(i) || (cfg.Cancel != nil && cfg.Cancel())
+		return failed.Load() < int64(i) || done(cfg.Ctx)
 	}
 	runGroup := func(i int) {
 		r := &runs[i]
@@ -210,25 +203,15 @@ func solveGroups(p *buffers.Problem, cfg Config, groups [][]int, sample func(int
 			return
 		}
 		start := time.Now()
-		alone := len(r.ids) == 1 && cfg.Hook == nil && cfg.Gate == nil
-		stopped := false
-		if alone {
-			stopped = polls(i)
-			if !stopped && (cfg.Deadline.IsZero() || !time.Now().After(cfg.Deadline)) {
-				r.res = placeAlone(p.Buffers[r.ids[0]], p.Memory)
-				sample(r.res.Stats.Steps)
-				r.elapsed = time.Since(start)
-				return
-			}
-		}
-		cancel := func() bool { return polls(i) }
-		if alone {
-			// A poll fired: the search reports it, and its own first poll
-			// hears the answer already taken instead of polling again.
-			cancel = replayFirst(stopped, cancel)
+		if len(r.ids) == 1 && cfg.Hook == nil && cfg.Gate == nil && !polls(i) &&
+			(cfg.Deadline.IsZero() || !time.Now().After(cfg.Deadline)) {
+			r.res = placeAlone(p.Buffers[r.ids[0]], p.Memory)
+			sample(r.res.Stats.Steps)
+			r.elapsed = time.Since(start)
+			return
 		}
 		r.sub = p.Subset(r.ids)
-		r.res = solveComponent(r.sub, cfg, r.share, cancel, sample, i)
+		r.res = solveComponent(r.sub, cfg, r.share, func() bool { return polls(i) }, sample, i)
 		r.elapsed = time.Since(start)
 		if r.res.Status == telamon.Exhausted || r.res.Status == telamon.Internal {
 			lowerFailed(&failed, i)

@@ -177,19 +177,6 @@ func TestInvalidInputReportsInvalid(t *testing.T) {
 	}
 }
 
-// TestCancelHookAbortsSolve exercises Config.Cancel: a tripped hook must
-// abort before any group is searched.
-func TestCancelHookAbortsSolve(t *testing.T) {
-	p := workload.MultiComponent(4, 20, 105, 7)
-	res := Solve(p, Config{Cancel: func() bool { return true }})
-	if res.Status != telamon.Cancelled {
-		t.Fatalf("status %v, want cancelled", res.Status)
-	}
-	if res.Solution != nil {
-		t.Fatal("cancelled solve returned a solution")
-	}
-}
-
 // TestSplitBudget pins the fair-share arithmetic of the step pot.
 func TestSplitBudget(t *testing.T) {
 	cases := []struct {

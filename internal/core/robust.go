@@ -17,7 +17,7 @@ var ErrPanic = errors.New("core: contained panic")
 // runs inside production compilers where a crash in the allocator — or in a
 // user-supplied learned policy plugged into it — must never take down the
 // host process. Every worker goroutine and every call into user-supplied
-// code (Chooser, Gate, Cancel, Hook) is guarded: a panic is recovered at
+// code (Chooser, Gate, Hook) is guarded: a panic is recovered at
 // the subproblem boundary and surfaced as telamon.Internal with an error
 // naming the component that misbehaved, so callers see ErrInternal instead
 // of a crash.
@@ -49,23 +49,8 @@ func internalError(point string, r any) error {
 	return fmt.Errorf("%w in %s: %v", ErrPanic, point, r)
 }
 
-// guardCancel wraps a user-supplied cancellation hook so that a panic in it
-// is attributed to "cancel hook" when the containment boundary recovers it.
-func guardCancel(cancel func() bool) func() bool {
-	if cancel == nil {
-		return nil
-	}
-	return func() (v bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				panic(asHookPanic("cancel hook", r))
-			}
-		}()
-		return cancel()
-	}
-}
-
-// guardHook wraps the test-only fault-injection hook the same way.
+// guardHook wraps the test-only fault-injection hook so that a panic in it
+// is attributed to "test hook" when the containment boundary recovers it.
 func guardHook(hook func(point string) bool) func(point string) bool {
 	if hook == nil {
 		return nil
@@ -98,28 +83,4 @@ func safeGate(g CandidateGate, st *telamon.State) (v bool) {
 		}
 	}()
 	return g.Expensive(st)
-}
-
-// withContext folds Config.Ctx into the cooperative-cancellation hook: once
-// the context is done — cancelled or past its deadline — every poll reports
-// cancellation and the solve stops with telamon.Cancelled within the
-// polling stride. The user's own Cancel hook (guarded for attribution) is
-// still consulted when the context is live.
-func (cfg Config) withContext() Config {
-	cfg.Cancel = guardCancel(cfg.Cancel)
-	cfg.Hook = guardHook(cfg.Hook)
-	if cfg.Ctx == nil {
-		return cfg
-	}
-	prev := cfg.Cancel
-	done := cfg.Ctx.Done()
-	cfg.Cancel = func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-		}
-		return prev != nil && prev()
-	}
-	return cfg
 }

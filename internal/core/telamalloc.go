@@ -87,14 +87,10 @@ type Config struct {
 	// identical at every parallelism level; only wall-clock time and, on
 	// failure paths, the per-group reports and aggregate stats may differ.
 	Parallelism int
-	// Cancel, when non-nil, cooperatively aborts the whole solve. It is
-	// polled periodically from every search worker, so it must be safe to
-	// call concurrently. A cancelled solve reports telamon.Cancelled.
-	Cancel func() bool
 	// Ctx, when non-nil, cancels the solve when the context is done —
-	// cancelled or past its deadline — reporting telamon.Cancelled. It
-	// rides the same polling path as Cancel, so cancellation latency is
-	// bounded by the polling stride.
+	// cancelled or past its deadline — reporting telamon.Cancelled. Every
+	// search worker polls Ctx.Err() on the budget-poll stride, so
+	// cancellation latency is bounded by the stride.
 	Ctx context.Context
 	// Hook, when non-nil, is a test-only fault-injection point: it is
 	// called on every budget check of every subproblem search with a
@@ -160,7 +156,7 @@ func solve(p *buffers.Problem, cfg Config, sample func(int64)) Result {
 	if err := p.Validate(); err != nil {
 		return Result{Status: telamon.Invalid, Err: err}
 	}
-	cfg = cfg.withContext()
+	cfg.Hook = guardHook(cfg.Hook)
 	if len(p.Buffers) == 0 {
 		return Result{Status: telamon.Solved, Solution: buffers.NewSolution(0)}
 	}
@@ -190,38 +186,7 @@ func (a Allocator) Name() string { return "telamalloc" }
 // errors are returned verbatim so callers can distinguish bad input and
 // contained panics from a failed search.
 func (a Allocator) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
-	return a.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext is Allocate with cooperative cancellation: the solve
-// aborts within the polling stride once ctx is done. It satisfies
-// spill.ContextAllocator, so a cancelled spill plan stops mid-solve.
-func (a Allocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error) {
-	return a.SolveContext(ctx, p).Allocated()
-}
-
-// SolveContext is AllocateContext returning the whole Result, effort
-// counters included.
-func (a Allocator) SolveContext(ctx context.Context, p *buffers.Problem) Result {
-	cfg := a.Config
-	if ctx != nil {
-		if cfg.Ctx != nil {
-			// Both a config context and a call context: poll both. A nil
-			// Done channel (e.g. context.Background) never fires.
-			prev := cfg.Cancel
-			done := cfg.Ctx.Done()
-			cfg.Cancel = func() bool {
-				select {
-				case <-done:
-					return true
-				default:
-				}
-				return prev != nil && prev()
-			}
-		}
-		cfg.Ctx = ctx
-	}
-	return Solve(p, cfg)
+	return Solve(p, a.Config).Allocated()
 }
 
 // Allocated returns res the way Allocate answers: the solution, or the
@@ -240,9 +205,8 @@ var _ heuristics.Allocator = Allocator{}
 
 // solveComponent searches one independent subproblem. maxSteps is the
 // group's allotment from the shared pot (0 = unlimited), cancel the
-// cooperative-cancellation hook (nil = never), sample the search's OnSample
-// callback, and group the subproblem's index, which names it to the
-// fault-injection hook.
+// cancellation poll, sample the search's OnSample callback, and group the
+// subproblem's index, which names it to the fault-injection hook.
 func solveComponent(p *buffers.Problem, cfg Config, maxSteps int64, cancel func() bool, sample func(int64), group int) telamon.Result {
 	policy := newPolicy(p, cfg)
 	opts := telamon.Options{

@@ -19,7 +19,6 @@
 package ilp
 
 import (
-	"context"
 	"time"
 
 	"telamalloc/internal/buffers"
@@ -36,9 +35,6 @@ const (
 	Infeasible
 	// Budget means the step budget or deadline was exceeded first.
 	Budget
-	// Cancelled means the Options.Cancel hook (or context) aborted the
-	// solve. A cancelled solve says nothing about feasibility.
-	Cancelled
 )
 
 func (s Status) String() string {
@@ -47,8 +43,6 @@ func (s Status) String() string {
 		return "solved"
 	case Infeasible:
 		return "infeasible"
-	case Cancelled:
-		return "cancelled"
 	default:
 		return "budget-exceeded"
 	}
@@ -84,11 +78,6 @@ type Options struct {
 	// MinimizeMemory each feasibility probe resolves its own Timeout;
 	// callers that want one deadline across all probes set Deadline.
 	Timeout time.Duration
-	// Cancel, when non-nil, cooperatively aborts the solve with status
-	// Cancelled; polled on the same stride as Deadline. This is how
-	// context cancellation reaches the exact solver: wire ctx through
-	// CancelFromContext.
-	Cancel func() bool
 	// Rule selects the branching heuristic.
 	Rule BranchRule
 }
@@ -110,18 +99,9 @@ type searcher struct {
 	steps    int64
 	conflict int64
 	pairSize []int64 // combined size per pair, for BranchMostConstraining
-	// stop latches the terminal budget verdict (Budget or Cancelled) once
-	// a poll fires, so the unwinding recursion sees one stable status.
+	// stop latches the Budget verdict once a poll fires, so the unwinding
+	// recursion sees one stable status.
 	stop Status
-}
-
-// CancelFromContext adapts a context to the Options.Cancel polling hook.
-// A nil ctx (or one that can never be done) yields a nil hook.
-func CancelFromContext(ctx context.Context) func() bool {
-	if ctx == nil || ctx.Done() == nil {
-		return nil
-	}
-	return func() bool { return ctx.Err() != nil }
 }
 
 // Solve runs the exact search on problem p. ov may be nil (computed then).
@@ -191,13 +171,9 @@ func (s *searcher) outOfBudget() bool {
 		s.stop = Budget
 		return true
 	}
-	// Poll on a stride, anchored at the first node so short solves still
-	// observe cancellation at least once.
+	// Poll the deadline on a stride, anchored at the first node so short
+	// solves still observe it at least once.
 	if s.steps%256 == 1 {
-		if s.opts.Cancel != nil && s.opts.Cancel() {
-			s.stop = Cancelled
-			return true
-		}
 		if !s.opts.Deadline.IsZero() && time.Now().After(s.opts.Deadline) {
 			s.stop = Budget
 			return true
@@ -255,7 +231,7 @@ func (s *searcher) dfs() Status {
 		switch st := s.dfs(); st {
 		case Solved:
 			return Solved
-		case Budget, Cancelled:
+		case Budget:
 			s.m.Pop()
 			return st
 		default:

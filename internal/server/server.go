@@ -153,6 +153,9 @@ func (c Config) classBounds() [numClasses]int {
 type Server struct {
 	cfg   Config
 	queue *classQueue
+	// alloc is the allocation handle every job runs on; it holds the
+	// server-wide options, and runJob adds the per-request ones.
+	alloc *telamalloc.Allocator
 
 	tenants *tenantTable // nil when Config.Tenant is disabled
 	brown   *brownout    // nil when Config.Brownout is disabled
@@ -216,9 +219,17 @@ func (j *job) settle() bool { return j.settled.CompareAndSwap(false, true) }
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	bounds := cfg.classBounds()
+	alloc, err := telamalloc.New(
+		telamalloc.WithParallelism(cfg.Parallelism),
+		telamalloc.WithFaultHook(cfg.Hook),
+		telamalloc.WithObservability(cfg.Obs))
+	if err != nil {
+		panic("server: allocator options failed validation: " + err.Error())
+	}
 	s := &Server{
 		cfg:      cfg,
 		queue:    newClassQueue(bounds),
+		alloc:    alloc,
 		breakers: make(map[string]*breaker, len(pipelineStages)),
 		latency:  stats.NewEWMA(0.2),
 		flights:  make(map[string]*flight),
@@ -893,11 +904,7 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 			browned = true
 		}
 	}
-	opts := []telamalloc.Option{
-		telamalloc.WithContext(j.ctx),
-		telamalloc.WithParallelism(s.cfg.Parallelism),
-		telamalloc.WithStages(ladder...),
-	}
+	opts := []telamalloc.Option{telamalloc.WithStages(ladder...)}
 	maxSteps := s.cfg.MaxSteps
 	if j.req.MaxSteps > 0 {
 		maxSteps = j.req.MaxSteps
@@ -921,17 +928,11 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 	if timeout > 0 {
 		opts = append(opts, telamalloc.WithTimeout(timeout))
 	}
-	if s.cfg.Hook != nil {
-		opts = append(opts, telamalloc.WithFaultHook(s.cfg.Hook))
-	}
 	if j.req.Hint != nil {
 		opts = append(opts, telamalloc.WithHints(j.req.Hint))
 	}
-	if s.cfg.Obs != nil {
-		opts = append(opts, telamalloc.WithObservability(s.cfg.Obs))
-	}
 
-	res, perr := telamalloc.AllocatePipeline(j.req.Problem, opts...)
+	res, perr := s.alloc.Pipeline(j.ctx, j.req.Problem, opts...)
 	s.observeBreakers(decisions, res)
 	decisions = nil // settled: a later panic must not release probe slots twice
 	s.traceStages(j.req.TraceID, res)

@@ -49,8 +49,9 @@ type Request struct {
 	// MaxSpills caps evictions (0 = no cap).
 	MaxSpills int
 	// Ctx, when non-nil, cancels planning: it is checked before every
-	// allocation attempt, and allocators implementing ContextAllocator
-	// observe it mid-solve too.
+	// allocation attempt. An allocator that should stop mid-attempt holds
+	// the same context itself (core.Config.Ctx); its cancelled attempt then
+	// fails, and this check reports the cancellation instead of evicting.
 	Ctx context.Context
 	// Deadline, when non-zero, is the wall-clock end of planning: it is
 	// checked before every allocation attempt. It must match the
@@ -67,16 +68,6 @@ type Request struct {
 	// so attempt 1 would fail too and is not searched.
 	SearchFailed bool
 }
-
-// ContextAllocator is implemented by allocators that support cooperative
-// cancellation. Make forwards Request.Ctx to them so a cancelled plan stops
-// mid-solve instead of running the current attempt to its own budget.
-type ContextAllocator interface {
-	heuristics.Allocator
-	AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error)
-}
-
-var _ ContextAllocator = core.Allocator{}
 
 // ErrCancelled is returned when Request.Ctx is done before a plan is found.
 var ErrCancelled = errors.New("spill: planning cancelled")
@@ -193,18 +184,14 @@ func searchable(req Request, attempt int, retained []int, prof buffers.Contentio
 	return sub
 }
 
-// allocate runs one packing attempt inside a containment boundary — a
-// panicking allocator becomes a failed attempt-chain, not a crashed planner
-// — and forwards the request context to allocators that can observe it.
+// allocate runs one packing attempt inside a containment boundary: a
+// panicking allocator becomes a failed attempt-chain, not a crashed planner.
 func allocate(req Request, sub *buffers.Problem) (sol *buffers.Solution, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sol, err = nil, fmt.Errorf("%w: %v", ErrAllocatorPanic, r)
 		}
 	}()
-	if cm, ok := req.Allocator.(ContextAllocator); ok && req.Ctx != nil {
-		return cm.AllocateContext(req.Ctx, sub)
-	}
 	return req.Allocator.Allocate(sub)
 }
 

@@ -212,48 +212,47 @@ func TestSpillIsDeterministic(t *testing.T) {
 	}
 }
 
-// blocker parks in AllocateContext until its context is cancelled — a
-// stand-in for a long search the spill planner must be able to abandon.
+// blocker parks in Allocate until the context it holds is cancelled — a
+// stand-in for a long search, configured with the plan's context, that the
+// spill planner must be able to abandon.
 type blocker struct {
+	ctx               context.Context
 	started, observed chan struct{}
 }
 
 func (b *blocker) Name() string { return "blocker" }
 
 func (b *blocker) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
-	return nil, errors.New("blocker: no context, cannot run")
-}
-
-func (b *blocker) AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error) {
 	close(b.started)
 	select {
-	case <-ctx.Done():
+	case <-b.ctx.Done():
 		close(b.observed)
-		return nil, ctx.Err()
+		return nil, b.ctx.Err()
 	case <-time.After(30 * time.Second):
 		return nil, errors.New("blocker: never cancelled")
 	}
 }
 
-// TestContextAllocatorObservesCancel: Make forwards Request.Ctx into a
-// ContextAllocator, so cancelling mid-solve stops the attempt and the plan
-// reports ErrCancelled.
+// TestContextAllocatorObservesCancel: an allocator holding the plan's
+// context stops its attempt when the context is cancelled mid-solve, and
+// the plan reports ErrCancelled instead of reading the failed attempt as
+// "does not fit".
 func TestContextAllocatorObservesCancel(t *testing.T) {
 	p := &buffers.Problem{Memory: 8, Buffers: []buffers.Buffer{
 		{Start: 0, End: 5, Size: 4},
 		{Start: 0, End: 5, Size: 4},
 	}}
 	p.Normalize()
-	b := &blocker{started: make(chan struct{}), observed: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	b := &blocker{ctx: ctx, started: make(chan struct{}), observed: make(chan struct{})}
 	go func() {
 		<-b.started
 		cancel()
 	}()
-	_, err := Make(Request{Problem: p, Allocator: b, Ctx: ctx})
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	plan, err := Make(Request{Problem: p, Allocator: b, Ctx: ctx})
+	if !errors.Is(err, ErrCancelled) || plan != nil {
+		t.Fatalf("plan %+v, err = %v, want ErrCancelled", plan, err)
 	}
 	select {
 	case <-b.observed:

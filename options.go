@@ -1,7 +1,6 @@
 package telamalloc
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -23,12 +22,11 @@ type config struct {
 	gate          *StepGateModel
 	gateThreshold float64
 	// timeout is the wall-clock budget. It is stored as a duration and
-	// resolved into core.Deadline when the solve *starts*, so a config
-	// built ahead of time — or reused across calls — gets the full budget
-	// on every call instead of one that silently shrank since the option
-	// was applied.
+	// resolved into core.Deadline when the call *starts* (callConfig), so a
+	// config built ahead of time — or reused across calls — gets the full
+	// budget on every call instead of one that silently shrank since the
+	// option was applied.
 	timeout time.Duration
-	ctx     context.Context
 	pipe    pipelineConfig
 	hint    *DecisionTrace
 	obsReg  *obs.Registry
@@ -98,30 +96,6 @@ func (c *config) validate() error {
 	return nil
 }
 
-// bindContext merges the call context into the config under the Allocator's
-// earliest-wins deadline rule (see the Allocator doc comment). When both a
-// WithContext context and a call context exist, the older one moves onto the
-// cooperative-cancellation path so both are polled and whichever ends first
-// stops the solve.
-func (c *config) bindContext(ctx context.Context) {
-	if ctx == nil || ctx == context.Background() {
-		return
-	}
-	if c.ctx != nil {
-		prev := c.core.Cancel
-		done := c.ctx.Done()
-		c.core.Cancel = func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-			return prev != nil && prev()
-		}
-	}
-	c.ctx = ctx
-}
-
 // WithObservability routes the allocation's telemetry — solver effort
 // counters, per-stage histograms, the live sampled step counter — into r
 // instead of the process-global obs.Default() registry. Pass a dedicated
@@ -136,18 +110,11 @@ func WithMaxSteps(n int64) Option {
 	return func(c *config) { c.core.MaxSteps = n }
 }
 
-// WithTimeout aborts the allocation after d, measured from the moment the
-// solve starts — not from when the option was applied — so option lists
-// can be built ahead of time and reused across calls.
+// WithTimeout aborts the allocation with ErrBudget after d, measured from
+// the moment the call starts — not from when the option was applied — so
+// option lists can be built ahead of time and reused across calls.
 func WithTimeout(d time.Duration) Option {
 	return func(c *config) { c.timeout = d }
-}
-
-// WithContext cancels the allocation when ctx is done — cancelled or past
-// its deadline — returning ErrCancelled. Cancellation is cooperative: it is
-// observed within the search's polling stride, from every parallel worker.
-func WithContext(ctx context.Context) Option {
-	return func(c *config) { c.ctx = ctx }
 }
 
 // WithParallelism bounds how many independent subproblems are searched
@@ -155,14 +122,6 @@ func WithContext(ctx context.Context) Option {
 // every parallelism level; only wall-clock time changes.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.core.Parallelism = n }
-}
-
-// WithCancel installs a cooperative-cancellation hook: it is polled
-// periodically from every search worker (and so must be safe to call
-// concurrently); the first true return aborts the allocation with
-// ErrCancelled.
-func WithCancel(cancel func() bool) Option {
-	return func(c *config) { c.core.Cancel = cancel }
 }
 
 // WithFaultHook installs the test-only fault-injection hook at every named
@@ -273,21 +232,12 @@ func WithStepGate(m *StepGateModel, threshold float64) Option {
 	}
 }
 
-// finalize binds problem-dependent pieces (the learned chooser and the step
-// gate) and solve-start-dependent pieces (the wall-clock deadline, the
-// context) once the internal problem exists and the solve is beginning.
+// finalize binds the problem-dependent pieces (the learned chooser and the
+// step gate) once the internal problem exists; the call's deadline and
+// context are already in c.core.
 func (c *config) finalize(q *buffers.Problem) core.Config {
 	cfg := c.core
 	cfg.Obs = c.obsReg
-	if c.timeout > 0 {
-		deadline := time.Now().Add(c.timeout)
-		if cfg.Deadline.IsZero() || deadline.Before(cfg.Deadline) {
-			cfg.Deadline = deadline
-		}
-	}
-	if c.ctx != nil {
-		cfg.Ctx = c.ctx
-	}
 	if c.model != nil {
 		cfg.Chooser = mlpolicy.NewChooser(c.model.forest, q)
 	}

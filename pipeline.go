@@ -25,7 +25,8 @@ import (
 // run inside a panic-containment boundary: a stage that panics (including a
 // misbehaving learned policy inside the search) records ErrInternal for
 // that stage and the ladder escalates instead of crashing the process. A
-// context cancellation (WithContext) stops the ladder with ErrCancelled.
+// done call context (Allocator.Pipeline's ctx) stops the ladder with
+// ErrCancelled.
 //
 // One global budget — WithMaxSteps for search steps, WithTimeout for wall
 // clock — is carved into per-stage shares (WithStageShare); whatever a
@@ -234,20 +235,6 @@ func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, err
 		return out, err
 	}
 
-	// Resolve the global budget once, at pipeline start: the step pot from
-	// WithMaxSteps and the deadline from WithTimeout (measured from now) or
-	// an explicit core deadline.
-	globalDeadline := time.Time{}
-	if c.timeout > 0 {
-		globalDeadline = time.Now().Add(c.timeout)
-	}
-	if !c.core.Deadline.IsZero() && (globalDeadline.IsZero() || c.core.Deadline.Before(globalDeadline)) {
-		globalDeadline = c.core.Deadline
-	}
-	c.core.Deadline = globalDeadline
-	c.timeout = 0 // finalize must not re-resolve it per stage
-	stepPot := c.core.MaxSteps
-
 	// Provable infeasibility: no packing fits under the contention peak,
 	// so every packing stage would only burn its budget before failing.
 	// Jump straight to degradation. proof says why, "" while none is known.
@@ -281,7 +268,7 @@ func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, err
 		}
 	}
 
-	run := newLadderRun(c, pm, q, ladder, stepPot, globalDeadline)
+	run := newLadderRun(c, pm, q, ladder)
 	slotChecked := false
 	for i, stage := range ladder {
 		if err := run.ctxErr(); err != nil {
@@ -395,13 +382,17 @@ type ladderRun struct {
 	searchFailed int64
 }
 
-func newLadderRun(c config, pm *pipelineMetrics, q *buffers.Problem, ladder []string, pot int64, deadline time.Time) *ladderRun {
-	return &ladderRun{c: c, pm: pm, q: q, ladder: ladder, remainingSteps: pot, globalDeadline: deadline, searchFailed: -1}
+// newLadderRun starts the escalation with the call's global budget: the
+// step pot from WithMaxSteps and the deadline callConfig resolved from
+// WithTimeout.
+func newLadderRun(c config, pm *pipelineMetrics, q *buffers.Problem, ladder []string) *ladderRun {
+	return &ladderRun{c: c, pm: pm, q: q, ladder: ladder,
+		remainingSteps: c.core.MaxSteps, globalDeadline: c.core.Deadline, searchFailed: -1}
 }
 
 func (lr *ladderRun) ctxErr() error {
-	if lr.c.ctx != nil {
-		return lr.c.ctx.Err()
+	if ctx := lr.c.core.Ctx; ctx != nil {
+		return ctx.Err()
 	}
 	return nil
 }
@@ -557,7 +548,7 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 			Pinned:    lr.c.pipe.pinned,
 			Allocator: alloc,
 			MaxSpills: lr.c.pipe.maxSpills,
-			Ctx:       lr.c.ctx,
+			Ctx:       lr.c.core.Ctx,
 			Deadline:  deadline,
 			// The search is deterministic: a budget no larger than the one
 			// it failed with fails too (0 = unlimited).
@@ -597,18 +588,15 @@ func (lr *ladderRun) searchConfig(steps int64, deadline time.Time) core.Config {
 }
 
 // effortAllocator is the spill stage's allocator: core.Allocator, summing
-// the effort of every search it runs into stats.
+// the effort of every search it runs into stats. Its config carries the
+// call context, so a cancel stops the attempt in flight.
 type effortAllocator struct {
 	core.Allocator
 	stats Stats
 }
 
 func (a *effortAllocator) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
-	return a.AllocateContext(context.Background(), p)
-}
-
-func (a *effortAllocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error) {
-	res := a.SolveContext(ctx, p)
+	res := core.Solve(p, a.Config)
 	st := statsFrom(res)
 	a.stats.Steps += st.Steps
 	a.stats.Placements += st.Placements

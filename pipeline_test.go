@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,9 +204,13 @@ func TestPipelineSpillCostsLength(t *testing.T) {
 }
 
 func TestPipelineCancelled(t *testing.T) {
+	a, err := New()
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := AllocatePipeline(easyProblem(), WithContext(ctx))
+	res, err := a.Pipeline(ctx, easyProblem())
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err %v, want ErrCancelled", err)
 	}
@@ -250,6 +255,46 @@ func TestPipelineSpillHonoursDeadline(t *testing.T) {
 	}
 	if rep := stageByName(t, res, StageSpill); !errors.Is(rep.Err, ErrBudget) {
 		t.Errorf("spill report err %v, want ErrBudget", rep.Err)
+	}
+}
+
+// TestSpillSearchHonoursCallContext: a cancel landing while the spill stage
+// searches stops that search, not only the planning loop around it. The
+// problem is provably infeasible, so spill is the first stage that runs,
+// and the fault hook cancels the call context at the first budget check of
+// the spill stage's first search.
+func TestSpillSearchHonoursCallContext(t *testing.T) {
+	m, err := workload.ByName("FPN Model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := m.Generate(1)
+	q.Memory = buffers.Contention(q).Peak() * 95 / 100
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var group0 atomic.Int64
+	hook := func(point string) bool {
+		if point == "group0" && group0.Add(1) == 1 {
+			cancel()
+		}
+		return false
+	}
+	a, err := New(WithMaxSteps(20000), WithParallelism(1), WithFaultHook(hook))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Pipeline(ctx, fromInternal(q))
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err %v (degraded=%v spill=%+v), want ErrCancelled", err, res.Degraded, res.Spill)
+	}
+	if res.Spill != nil {
+		t.Errorf("cancelled run reported a spill plan: %+v", res.Spill)
+	}
+	if rep := stageByName(t, res, StageSpill); rep.Stats.Steps != 0 {
+		t.Errorf("spill stage took %d steps after the cancel", rep.Stats.Steps)
+	}
+	if n := group0.Load(); n != 1 {
+		t.Errorf("hook saw group0 %d times, want 1", n)
 	}
 }
 

@@ -82,7 +82,8 @@ var (
 	ErrNoSolution = errors.New("telamalloc: no feasible packing found")
 	// ErrBudget means the step budget or timeout expired first.
 	ErrBudget = errors.New("telamalloc: allocation budget exhausted")
-	// ErrCancelled means the WithCancel hook aborted the allocation.
+	// ErrCancelled means the call's context ended — cancelled or past its
+	// deadline — before the allocation finished.
 	ErrCancelled = errors.New("telamalloc: allocation cancelled")
 	// ErrInvalidProblem flags structurally invalid input.
 	ErrInvalidProblem = errors.New("telamalloc: invalid problem")
