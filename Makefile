@@ -124,8 +124,10 @@ overloadsoak:
 ## may panic, nil error implies a valid packing, every error wraps exactly
 ## one public sentinel — plus the cache-key invariant: fingerprint-equal
 ## problems must accept each other's replayed solutions, and the wire
-## schema's untrusted-line parsing (FuzzWire) must never panic and must
-## re-encode to a fixed point. FuzzSearchEquivalence checks the batched
+## codec must agree with encoding/json on every line: FuzzWire (requests)
+## and FuzzWireResponse (reports) check that the decoder accepts exactly
+## what json.Unmarshal accepts, to equal values, and that the encoder
+## writes json.Marshal's bytes. FuzzSearchEquivalence checks the batched
 ## candidate stream (phase walk and fallback, one batch at a time) against
 ## its eager oracle, which hands out the whole queue in one batch:
 ## identical search trees.
@@ -139,7 +141,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAllocate -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzPipeline -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprint -fuzztime=10s ./internal/cache
-	$(GO) test -run='^$$' -fuzz=FuzzWire -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzWireResponse$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzCheck -fuzztime=10s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzSearchEquivalence -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPropagationEquivalence -fuzztime=10s ./internal/cp

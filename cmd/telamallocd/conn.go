@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -252,7 +251,7 @@ func (d *tcpDaemon) shedConn(conn net.Conn) {
 		RetryAfterMS: connShedRetryMS,
 		Error:        fmt.Sprintf("connection limit %d reached", cap(d.sem)),
 	}
-	if b, err := json.Marshal(resp); err == nil {
+	if b, err := wire.AppendResponse(nil, &resp); err == nil {
 		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		conn.Write(append(b, '\n'))
 	}

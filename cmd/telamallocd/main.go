@@ -71,7 +71,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"flag"
@@ -315,16 +314,18 @@ func serveStream(srv *server.Server, r io.Reader, w io.Writer, maxLine int) {
 // rejected report before the stream closes, so the peer always learns why.
 func serveScanner(srv *server.Server, sc *bufio.Scanner, w io.Writer) {
 	var mu sync.Mutex
+	var line []byte // guarded by mu: reports are encoded into one reused buffer
 	var wg sync.WaitGroup
 	emit := func(resp wireResponse) {
 		resp.V = wireVersion // every report declares the version it speaks
-		line, err := json.Marshal(resp)
-		if err != nil {
-			line = []byte(`{"v":1,"outcome":"failed","error":"report marshal failure"}`)
-		}
 		mu.Lock()
 		defer mu.Unlock()
-		fmt.Fprintf(w, "%s\n", line)
+		var err error
+		if line, err = wire.AppendResponse(line[:0], &resp); err != nil {
+			line = append(line[:0], `{"v":1,"outcome":"failed","error":"report marshal failure"}`...)
+		}
+		line = append(line, '\n')
+		w.Write(line)
 	}
 	for sc.Scan() {
 		raw := sc.Bytes()
@@ -332,7 +333,7 @@ func serveScanner(srv *server.Server, sc *bufio.Scanner, w io.Writer) {
 			continue
 		}
 		var req wireRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
+		if err := wire.DecodeRequest(raw, &req); err != nil {
 			emit(wireResponse{Outcome: wire.OutcomeRejected, ErrorCode: wire.CodeBadRequest,
 				Error: fmt.Sprintf("bad request line: %v", err)})
 			continue
@@ -361,7 +362,7 @@ func serveScanner(srv *server.Server, sc *bufio.Scanner, w io.Writer) {
 // handle runs one request through the service and maps the terminal outcome
 // to the wire schema.
 func handle(srv *server.Server, wreq wireRequest) wireResponse {
-	p := server.Problem{Memory: wreq.Memory, Name: wreq.Name}
+	p := server.Problem{Memory: wreq.Memory, Name: wreq.Name, Buffers: make([]telamalloc.Buffer, 0, len(wreq.Buffers))}
 	for _, b := range wreq.Buffers {
 		p.Buffers = append(p.Buffers, telamalloc.Buffer{Start: b.Start, End: b.End, Size: b.Size, Align: b.Align})
 	}

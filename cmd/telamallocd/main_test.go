@@ -228,6 +228,48 @@ func TestServeStreamVersioning(t *testing.T) {
 	}
 }
 
+// TestServeStreamDeferredLines sends one problem three ways: as a compact
+// line the codec's fast path parses, as a whitespace-separated line with an
+// unknown field, and with an escaped id — the last two are decoded by
+// encoding/json. All three must get the same canonical report, and the
+// escaped id must come back intact.
+func TestServeStreamDeferredLines(t *testing.T) {
+	srv := server.New(server.Config{Workers: 2, QueueDepth: 8, MaxSteps: 200000})
+	defer srv.Close()
+
+	in := strings.Join([]string{
+		`{"v":1,"id":"compact","memory":12,"buffers":[{"start":0,"end":4,"size":4},{"start":2,"end":6,"size":4,"align":4},{"start":3,"end":8,"size":4}]}`,
+		`{ "v": 1, "id": "spaced", "memory": 12, "future_field": {"x": [1, 2]},` +
+			` "buffers": [ {"start": 0, "end": 4, "size": 4}, {"size": 4, "start": 2, "end": 6, "align": 4}, {"start": 3, "end": 8, "size": 4} ] }`,
+		`{"v":1,"id":"a\"b","memory":12,"buffers":[{"start":0,"end":4,"size":4},{"start":2,"end":6,"size":4,"align":4},{"start":3,"end":8,"size":4}]}`,
+	}, "\n") + "\n"
+
+	var out bytes.Buffer
+	serveStream(srv, strings.NewReader(in), &out, 0)
+	byID := decodeReports(t, &out)
+	if len(byID) != 3 {
+		t.Fatalf("got %d reports (%v), want 3", len(byID), byID)
+	}
+	compact, ok := byID["compact"]
+	if !ok || compact.Outcome != "solved" || len(compact.Offsets) != 3 {
+		t.Fatalf("compact report: %+v, want solved with 3 offsets", compact)
+	}
+	want := canonicalOfReport(&compact)
+	for _, id := range []string{"spaced", `a"b`} {
+		rep, ok := byID[id]
+		if !ok {
+			t.Errorf("no report echoes id %q: %v", id, byID)
+			continue
+		}
+		if got := canonicalOfReport(&rep); !bytes.Equal(got, want) {
+			t.Errorf("%q: canonical report %s, compact line got %s", id, got, want)
+		}
+	}
+	if !bytes.Contains(out.Bytes(), []byte(`"id":"a\"b"`)) {
+		t.Errorf("escaped id not echoed verbatim:\n%s", out.Bytes())
+	}
+}
+
 func TestParseClassDepth(t *testing.T) {
 	got, err := parseClassDepth("interactive=32,background=4")
 	if err != nil {

@@ -33,7 +33,6 @@ package client
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -213,7 +212,7 @@ func (c *Client) readLoop(cn *netConn) {
 			continue
 		}
 		var resp wire.Response
-		if err := json.Unmarshal(line, &resp); err != nil {
+		if err := wire.DecodeResponse(line, &resp); err != nil {
 			continue // not ours to interpret; correlation is impossible
 		}
 		if resp.ID == "" {
@@ -419,10 +418,8 @@ func (c *Client) attempt(ctx context.Context, req Request, id string) (resp *Rep
 		wreq.TimeoutMS = ms
 	}
 
-	line, err := json.Marshal(wreq)
-	if err != nil {
-		return nil, 0, fmt.Errorf("client: marshal request: %w", err)
-	}
+	// Sized for the usual line: ~48 bytes a buffer plus the scalars.
+	line := wire.AppendRequest(make([]byte, 0, 128+len(id)+len(req.Name)+len(req.Priority)+len(req.Tenant)+48*len(req.Buffers)), &wreq)
 	line = append(line, '\n')
 
 	ch, ok := cn.register(id)

@@ -306,8 +306,11 @@ func mergeGroups(p *buffers.Problem, cfg Config, runs []groupRun, sample func(in
 			out.Solution = nil
 			// Groups past the determining failure are not retried, but
 			// their phase-A outcomes still belong in the report — leaving
-			// them zero-valued would read as "0 buffers, solved".
+			// them zero-valued would read as "0 buffers, solved" — and the
+			// steps they spent (all of their search when nothing cancelled
+			// them) belong in the stats.
 			for j := i + 1; j < len(runs); j++ {
+				accumulate(&out.Stats, runs[j].res.Stats)
 				out.Groups[j] = GroupReport{
 					Buffers: len(runs[j].ids),
 					Status:  runs[j].res.Status,

@@ -236,3 +236,20 @@ func TestBudgetPotRetry(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedSolveCountsLaterGroups is the regression test for the step
+// undercount: at Parallelism 1 a Budget failure cancels nothing, so the
+// groups after it still search, and their steps must reach Result.Stats.
+func TestFailedSolveCountsLaterGroups(t *testing.T) {
+	res := Solve(workload.MultiComponent(4, 15, 105, 1), Config{MaxSteps: 27, Parallelism: 1})
+	if res.Status != telamon.Budget {
+		t.Fatalf("status %v, want budget", res.Status)
+	}
+	var sum int64
+	for _, g := range res.Groups {
+		sum += g.Steps
+	}
+	if res.Stats.Steps != sum || sum != 27 {
+		t.Errorf("Stats.Steps %d, groups sum to %d (%+v), want both 27", res.Stats.Steps, sum, res.Groups)
+	}
+}

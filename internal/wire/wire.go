@@ -2,7 +2,9 @@
 // (DESIGN.md §12): one JSON request per line, one JSON report per line,
 // order not guaranteed under concurrency, correlation by "id". It exists so
 // the daemon (cmd/telamallocd) and the resilient client (internal/client)
-// marshal the same bytes from one definition instead of drifting apart.
+// marshal the same bytes from one definition instead of drifting apart, and
+// it holds the codec both use on every line (codec.go): a reflection-free
+// encoder and decoder that give encoding/json's answers exactly.
 //
 // The schema structs carry no behaviour beyond marshalling; protocol
 // *semantics* — retry floors, ambiguity, idempotence — live with the

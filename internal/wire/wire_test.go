@@ -10,7 +10,7 @@ import (
 // carry "v" even when every optional field is empty.
 func TestRequestVersionOmittedMeansZero(t *testing.T) {
 	var req Request
-	if err := json.Unmarshal([]byte(`{"memory":8,"buffers":[{"start":0,"end":4,"size":4}]}`), &req); err != nil {
+	if err := DecodeRequest([]byte(`{"memory":8,"buffers":[{"start":0,"end":4,"size":4}]}`), &req); err != nil {
 		t.Fatal(err)
 	}
 	if req.V != 0 {
@@ -22,7 +22,7 @@ func TestRequestVersionOmittedMeansZero(t *testing.T) {
 }
 
 func TestResponseAlwaysCarriesVersion(t *testing.T) {
-	b, err := json.Marshal(Response{V: Version, Outcome: OutcomeRejected})
+	b, err := AppendResponse(nil, &Response{V: Version, Outcome: OutcomeRejected})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +71,15 @@ func TestRequestForwardCompat(t *testing.T) {
 		t.Errorf("old daemon misdecoded the known fields: %+v", old)
 	}
 
+	// This daemon ignores a field from a later client the same way.
+	var cur Request
+	if err := DecodeRequest(line, &cur); err != nil || cur.Priority != "interactive" || cur.Tenant != "team-a" || len(cur.Buffers) != 1 {
+		t.Errorf("daemon misdecoded a line with an unknown field: %+v, %v", cur, err)
+	}
+
 	// Old client → new daemon: absent fields decode to the zero values.
 	var req Request
-	if err := json.Unmarshal([]byte(`{"memory":8,"buffers":[{"start":0,"end":4,"size":4}]}`), &req); err != nil {
+	if err := DecodeRequest([]byte(`{"memory":8,"buffers":[{"start":0,"end":4,"size":4}]}`), &req); err != nil {
 		t.Fatal(err)
 	}
 	if req.Priority != "" || req.Tenant != "" {
@@ -81,12 +87,9 @@ func TestRequestForwardCompat(t *testing.T) {
 	}
 
 	// And the new fields round-trip through the new schema.
-	b, err := json.Marshal(Request{Memory: 8, Priority: "background", Tenant: "t9"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := AppendRequest(nil, &Request{Memory: 8, Priority: "background", Tenant: "t9"})
 	var back Request
-	if err := json.Unmarshal(b, &back); err != nil {
+	if err := DecodeRequest(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Priority != "background" || back.Tenant != "t9" {
@@ -108,10 +111,16 @@ func TestResponseForwardCompat(t *testing.T) {
 		t.Fatalf("old client rejects a new-daemon report: %v", err)
 	}
 	var resp Response
-	if err := json.Unmarshal([]byte(`{"v":1,"outcome":"solved","offsets":[0]}`), &resp); err != nil {
+	if err := DecodeResponse([]byte(`{"v":1,"outcome":"solved","offsets":[0]}`), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.DegradedByBrownout {
 		t.Error("absent marker decoded true")
+	}
+
+	// And this client ignores a field from a later daemon.
+	var later Response
+	if err := DecodeResponse([]byte(`{"v":1,"outcome":"solved","some_future_field":[1],"offsets":[0]}`), &later); err != nil || later.Outcome != OutcomeSolved || len(later.Offsets) != 1 {
+		t.Errorf("client misdecoded a report with an unknown field: %+v, %v", later, err)
 	}
 }
