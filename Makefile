@@ -79,7 +79,7 @@ soak:
 
 ## cachesoak: the reuse-layer acceptance soak under the race detector —
 ## concurrent clients replaying a fixed workload against a four-worker
-## server with a small cache: every cached/deduped/hint-replayed response must be
+## server with a small cache: every cached/deduped response must be
 ## byte-identical to the cold solve, and the cache/dedup counters must
 ## balance with the terminal-outcome ledger. See DESIGN.md §10.
 cachesoak:
@@ -115,10 +115,11 @@ faultrace:
 ## expired-in-queue jobs, interactive latency bounded and never shed by
 ## batch/background floods, the counter ledger balanced, and the brownout
 ## controller both engaging and disengaging with hysteresis. Plus the
-## no-overload byte-identity check and the deadline/tenant/brownout unit
-## suites. See DESIGN.md §14.
+## no-overload byte-identity check, the deadline/tenant/brownout unit
+## suites, and the wire protocol's forward-compat round trips of the
+## priority and tenant fields. See DESIGN.md §14.
 overloadsoak:
-	$(GO) test -race -count=1 -run 'TestOverloadSoak|Priority|ClassQueue|BatchFlood|RetryAfterMonotonic|Expire|Tenant|Brownout|NoOverloadByte' ./internal/server ./cmd/telamallocd ./internal/wire
+	$(GO) test -race -count=1 -run 'TestOverloadSoak|Priority|ClassQueue|BatchFlood|RetryAfterMonotonic|Expire|Tenant|Brownout|NoOverloadByte|ForwardCompat' ./internal/server ./cmd/telamallocd ./internal/wire
 
 ## fuzz: short native-fuzzing smoke of the public entry points — no input
 ## may panic, nil error implies a valid packing, every error wraps exactly

@@ -141,19 +141,6 @@ func TestPipelineRecordsObservability(t *testing.T) {
 			t.Errorf("scrape missing %q\n%s", want, text)
 		}
 	}
-
-	// Hint replay settles the ladder and is counted as a replay, with every
-	// stage skipped.
-	if res.Trace == nil {
-		t.Fatal("expected a replayable trace from a full win")
-	}
-	if _, err := a.Pipeline(context.Background(), p, telamalloc.WithHints(res.Trace)); err != nil {
-		t.Fatalf("hinted Pipeline: %v", err)
-	}
-	text = scrape(r)
-	if !containsLine(text, "telamalloc_pipeline_hint_replays_total 1") {
-		t.Errorf("scrape missing hint replay count\n%s", text)
-	}
 }
 
 // scrape renders the registry in Prometheus text format.

@@ -39,8 +39,8 @@ type Fingerprint struct {
 	Key string
 	// ShapeKey excludes the capacity. Problems with equal ShapeKeys differ
 	// at most in their memory limit — the "near miss" a cached solution can
-	// still warm-start via hint replay (a packing for one capacity is a
-	// packing for any larger one).
+	// still answer when it fits (a packing for one capacity is a packing
+	// for any larger one).
 	ShapeKey string
 }
 
@@ -117,7 +117,7 @@ func Canonicalize(p *buffers.Problem) (Fingerprint, []int) {
 
 // Replay transports a canonical-order solution onto a problem with the
 // given canonical permutation: out[perm[k]] = canonical[k]. It returns nil
-// when the lengths disagree (the hint came from a different shape).
+// when the lengths disagree (the packing came from a different shape).
 func Replay(canonical []int64, perm []int) []int64 {
 	if len(canonical) != len(perm) {
 		return nil
@@ -151,6 +151,10 @@ type Entry struct {
 	Winner string
 	// Offsets is the packing in canonical buffer order.
 	Offsets []int64
+	// LowerBound is the problem's contention peak, which every problem of
+	// the same shape shares: hits and near hits echo it instead of
+	// sweeping their own problem again.
+	LowerBound int64
 }
 
 // Counters is a point-in-time snapshot of cache telemetry.
@@ -167,7 +171,7 @@ type Counters struct {
 }
 
 // Cache is a bounded, thread-safe LRU of validated solutions keyed by full
-// fingerprint, with a shape index for near-miss hint lookups.
+// fingerprint, with a shape index for near-miss lookups.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -216,7 +220,7 @@ func (c *Cache) Get(key string) (Entry, bool) {
 
 // GetShape returns the newest entry whose problem had the given shape but a
 // *different* full key — the near-miss case where only the capacity
-// changed. It does not touch recency (the hint may not even validate) and
+// changed. It does not touch recency (the packing may not even validate) and
 // does not count as a hit or miss.
 func (c *Cache) GetShape(shapeKey, excludeKey string) (Entry, bool) {
 	c.mu.Lock()
@@ -295,5 +299,5 @@ func (c *Cache) Counters() Counters {
 }
 
 func copyEntry(e Entry) Entry {
-	return Entry{Winner: e.Winner, Offsets: append([]int64(nil), e.Offsets...)}
+	return Entry{Winner: e.Winner, Offsets: append([]int64(nil), e.Offsets...), LowerBound: e.LowerBound}
 }

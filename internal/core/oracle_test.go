@@ -33,7 +33,7 @@ func (op oraclePolicy) Candidates(st *telamon.State, _ int, _ []int) ([]int, int
 	tp := op.tp
 	if tp.groups == nil {
 		out := oracleTopPicks(st, nil)
-		if !tp.expensive(st) {
+		if tp.cfg.NoFallbackCandidates {
 			return out, -1
 		}
 		seen := make(map[int]bool, len(out))
@@ -61,7 +61,7 @@ func (op oraclePolicy) Candidates(st *telamon.State, _ int, _ []int) ([]int, int
 			appendPicks(&tp.groups.Phases[i])
 		}
 	}
-	if tp.expensive(st) {
+	if !tp.cfg.NoFallbackCandidates {
 		out = oracleAppendRemaining(st, out, seen)
 	}
 	return out, -1
@@ -266,12 +266,6 @@ func checkStrategyEquivalence(t testing.TB, name string, p *buffers.Problem, max
 	}
 }
 
-// depthGate is a deterministic learned-gate stand-in: expensive candidates
-// at two of every three depths.
-type depthGate struct{}
-
-func (depthGate) Expensive(st *telamon.State) bool { return st.Depth()%3 != 0 }
-
 // atPeakPct returns p with memory at pct percent of its contention peak.
 func atPeakPct(p *buffers.Problem, pct int64) *buffers.Problem {
 	q := p.Clone()
@@ -322,7 +316,6 @@ func TestIncrementalCandidatesMatchOracle(t *testing.T) {
 		{"default", Config{}},
 		{"strict", Config{NoFallbackCandidates: true}},
 		{"no-phases", Config{DisablePhases: true}},
-		{"gate", Config{Gate: depthGate{}}},
 	}
 	names, probs := oracleInputs(testing.Short())
 	for i, p := range probs {
@@ -434,9 +427,6 @@ func decodeEquivalenceInput(data []byte) (*buffers.Problem, Config, bool) {
 		DisablePromotion:      flags&4 != 0,
 		DisableConflictDriven: flags&8 != 0,
 		StuckThreshold:        int(flags>>5) * 4, // 0 = default 100
-	}
-	if flags&16 != 0 {
-		cfg.Gate = depthGate{}
 	}
 	p := &buffers.Problem{}
 	for rest := data[2:]; len(rest) >= 4 && len(p.Buffers) < 16; rest = rest[4:] {

@@ -94,10 +94,10 @@ func effectiveParallelism(cfg Config, groups int) int {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	// The learned chooser and step gate are stateful across a solve and
-	// track one coherent decision path; interleaving groups would corrupt
-	// their observations, so they force sequential execution.
-	if cfg.Chooser != nil || cfg.Gate != nil {
+	// The learned chooser is stateful across a solve and tracks one
+	// coherent decision path; interleaving groups would corrupt its
+	// observations, so it forces sequential execution.
+	if cfg.Chooser != nil {
 		par = 1
 	}
 	if par > groups {
@@ -159,9 +159,9 @@ func lowerFailed(failed *atomic.Int64, i int) {
 // reaches its own deterministic verdict.
 //
 // A one-buffer group is answered without a search (placeAlone) when that
-// cannot change what any caller observes: no fault-injection hook or
-// candidate gate would have been called, and the cancel and deadline polls
-// of the search's first budget check, taken here instead, pass. Both stop
+// cannot change what any caller observes: no fault-injection hook would
+// have been called, and the cancel and deadline polls of the search's first
+// budget check, taken here instead, pass. Both stop
 // sources only stay stopped once they fire, so a search the shortcut falls
 // back to hears the same answer when it polls again. sample receives each
 // group's steps, as the search's OnSample would.
@@ -203,7 +203,7 @@ func solveGroups(p *buffers.Problem, cfg Config, groups [][]int, sample func(int
 			return
 		}
 		start := time.Now()
-		if len(r.ids) == 1 && cfg.Hook == nil && cfg.Gate == nil && !polls(i) &&
+		if len(r.ids) == 1 && cfg.Hook == nil && !polls(i) &&
 			(cfg.Deadline.IsZero() || !time.Now().After(cfg.Deadline)) {
 			r.res = placeAlone(p.Buffers[r.ids[0]], p.Memory)
 			sample(r.res.Stats.Steps)

@@ -32,7 +32,7 @@ type telaPolicy struct {
 	orders []phaseOrders
 	one    [1]phaseOrders
 	// fallback is every buffer by decreasing area, then increasing ID: the
-	// order of the last batches at expensive decision points.
+	// order of the last batches at a decision point.
 	fallback []int
 	// mark is the model's placed set at the last call: the cursors hold
 	// while it is intact.
@@ -135,21 +135,21 @@ func sortStable(p *buffers.Problem, ids []int, order func(a, b buffers.Buffer) i
 // Candidates implements telamon.Policy: at each decision point, propose the
 // longest-lived, largest and largest-area unplaced blocks (§5.1), preferring
 // the phase of the most recently placed block and falling back to the other
-// phases in contention order (§5.3), one phase per batch. At expensive
-// decision points every remaining unplaced block follows as a final
-// fallback, largest area first, one per batch.
+// phases in contention order (§5.3), one phase per batch. Every remaining
+// unplaced block then follows as a last-resort fallback (§6.5 describes the
+// same idea for the ML path), largest area first, one per batch, unless
+// Config.NoFallbackCandidates asks for the paper's strict three picks.
 //
 // Opening a point builds only the preferred phase's picks. A later cursor
-// encodes a position pos and a bit fb (see cursorAt): pos below
-// len(tp.orders) is the next phase of the walk, pos - len(tp.orders) the
-// next fallback position, and fb records whether the point gets the
-// fallback.
+// is one more than a position, so it is never 0: a position below
+// len(tp.orders) is the next phase of the walk, and position -
+// len(tp.orders) the next fallback position.
 func (tp *telaPolicy) Candidates(st *telamon.State, cursor int, dst []int) ([]int, int) {
 	tp.sync(st.Model)
 	if cursor == 0 {
 		return tp.open(st, dst)
 	}
-	pos, fb := cursor>>1-1, cursor&1
+	pos := cursor - 1
 	if pos < len(tp.orders) {
 		i := tp.nextLive(st.Model, pos)
 		if i == tp.currentPhase(st) {
@@ -159,18 +159,18 @@ func (tp *telaPolicy) Candidates(st *telamon.State, cursor int, dst []int) ([]in
 			n := len(dst)
 			dst = tp.orders[i].appendPicks(st.Model, dst)
 			tp.picked += len(dst) - n
-			return dst, cursorAt(i+1, fb)
+			return dst, i + 2 // position i+1
 		}
 		pos = len(tp.orders)
 	}
-	if fb == 0 {
+	if tp.cfg.NoFallbackCandidates {
 		return dst, -1
 	}
 	// Every phase's picks are in the queue by now, so the fallback hands
 	// out the buffers that are neither placed nor picks.
 	for j := pos - len(tp.orders); j < len(tp.fallback); j++ {
 		if b := tp.fallback[j]; !st.Model.Placed(b) && !tp.isPick(st.Model, b) {
-			return append(dst, b), cursorAt(len(tp.orders)+j+1, fb)
+			return append(dst, b), len(tp.orders) + j + 2 // fallback position j+1
 		}
 	}
 	return dst, -1
@@ -190,22 +190,8 @@ func (tp *telaPolicy) open(st *telamon.State, dst []int) ([]int, int) {
 		dst = tp.orders[cur].appendPicks(st.Model, dst)
 		tp.picked += len(dst)
 	}
-	fb := 0
-	if tp.expensive(st) {
-		// Last-resort fallback (§6.5 describes the same idea for the ML
-		// path): after the heuristic picks, try the remaining unplaced
-		// buffers, largest area first, before declaring the decision point
-		// exhausted. The paper's strict configuration (3 candidates per
-		// decision point, more major backtracks) is available via
-		// Config.NoFallbackCandidates; a learned step gate (§8.3) can make
-		// the call per decision point via Config.Gate.
-		fb = 1
-	}
-	return dst, cursorAt(pos, fb)
+	return dst, pos + 1
 }
-
-// cursorAt encodes position pos and fallback bit fb as a cursor, never 0.
-func cursorAt(pos, fb int) int { return (pos+1)<<1 | fb }
 
 // isPick reports whether the unplaced buffer b is one of its phase's picks:
 // the first unplaced buffer of one of the phase's orders.
@@ -273,17 +259,6 @@ func (po *phaseOrders) front(k int, m *cp.Model) int {
 	}
 	po.next[k] = i
 	return i
-}
-
-// expensive reports whether this decision point should receive the full
-// fallback candidates.
-func (tp *telaPolicy) expensive(st *telamon.State) bool {
-	if tp.cfg.Gate != nil {
-		// Learned gates are user-supplied code: run under attribution so a
-		// panic surfaces as "panic in candidate gate", not a crash.
-		return safeGate(tp.cfg.Gate, st)
-	}
-	return !tp.cfg.NoFallbackCandidates
 }
 
 // currentPhase returns the phase of the most recently committed placement,

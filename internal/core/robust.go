@@ -17,7 +17,7 @@ var ErrPanic = errors.New("core: contained panic")
 // runs inside production compilers where a crash in the allocator — or in a
 // user-supplied learned policy plugged into it — must never take down the
 // host process. Every worker goroutine and every call into user-supplied
-// code (Chooser, Gate, Hook) is guarded: a panic is recovered at
+// code (Chooser, Hook) is guarded: a panic is recovered at
 // the subproblem boundary and surfaced as telamon.Internal with an error
 // naming the component that misbehaved, so callers see ErrInternal instead
 // of a crash.
@@ -73,14 +73,4 @@ func safeChoose(c BacktrackChooser, st *telamon.State, dp *telamon.DecisionPoint
 		}
 	}()
 	return c.Choose(st, dp)
-}
-
-// safeGate calls a user-supplied candidate gate under attribution.
-func safeGate(g CandidateGate, st *telamon.State) (v bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panic(asHookPanic("candidate gate", r))
-		}
-	}()
-	return g.Expensive(st)
 }

@@ -47,14 +47,6 @@ type BacktrackChooser interface {
 	Choose(st *telamon.State, exhausted *telamon.DecisionPoint) (target int, ok bool)
 }
 
-// CandidateGate decides, per decision point, whether to generate the
-// expensive candidate set (every unplaced buffer as fallback) or the cheap
-// one (the three heuristic picks per phase). This is the step-level learned
-// gate §8.3 of the paper proposes as future work; see mlpolicy.StepGate.
-type CandidateGate interface {
-	Expensive(st *telamon.State) bool
-}
-
 // Config tunes TelaMalloc. The zero value is the production configuration.
 type Config struct {
 	// MaxSteps caps placement attempts per subproblem (0 = unlimited).
@@ -108,9 +100,6 @@ type Config struct {
 	Obs *obs.Registry
 	// Chooser, when non-nil, supplies learned backtrack decisions.
 	Chooser BacktrackChooser
-	// Gate, when non-nil, decides per decision point whether to build the
-	// expensive candidate set; it overrides NoFallbackCandidates.
-	Gate CandidateGate
 }
 
 // Result is the outcome of an allocation: the framework result plus

@@ -1,7 +1,7 @@
 package server
 
-// Tests for the cross-request reuse layer: solution-cache hits, decision-
-// trace hint replay, singleflight deduplication — and the bugfix sweep's
+// Tests for the cross-request reuse layer: solution-cache hits, near hits
+// (same buffers, another capacity), singleflight deduplication — and the bugfix sweep's
 // regressions (settle-ledger balance under cancellation at the dequeue
 // window, half-open breaker probes that get cancelled mid-run).
 
@@ -32,9 +32,6 @@ func TestSubmitCacheHitByteIdentical(t *testing.T) {
 	}
 	if cold.CacheHit || cold.Winner != telamalloc.StageSearch {
 		t.Fatalf("cold response %+v, want a search win without a cache hit", cold)
-	}
-	if cold.Trace == nil || cold.Trace.Winner != telamalloc.StageSearch {
-		t.Fatalf("cold response trace %+v, want the winning stage's trace", cold.Trace)
 	}
 
 	// A reordered copy of the same problem must hit too: the fingerprint is
@@ -179,8 +176,8 @@ func TestSubmitDedupSharesOneSolve(t *testing.T) {
 }
 
 // TestSubmitNearMissHintReplay: the same buffers under a different capacity
-// miss the cache but warm-start through the shape index — the pipeline
-// replays the stored trace instead of searching.
+// miss the cache but hit the shape index, and the stored packing, which
+// fits the wider capacity, is served without queueing.
 func TestSubmitNearMissHintReplay(t *testing.T) {
 	s := New(Config{Workers: 1, MaxSteps: 200000})
 	defer mustDrain(t, s)
@@ -201,10 +198,11 @@ func TestSubmitNearMissHintReplay(t *testing.T) {
 		t.Fatalf("capacity change must not be an exact cache hit")
 	}
 	if !warm.HintReplayed {
-		t.Errorf("near miss did not replay the stored trace: %+v", warm)
+		t.Errorf("near miss did not replay the stored packing: %+v", warm)
 	}
-	if warm.Winner != cold.Winner {
-		t.Errorf("replay winner %q, want the trace's %q", warm.Winner, cold.Winner)
+	if warm.Winner != cold.Winner || warm.LowerBound != cold.LowerBound || warm.Memory != wider.Memory {
+		t.Errorf("replay winner %q, bound %d, memory %d; want %q, %d, %d",
+			warm.Winner, warm.LowerBound, warm.Memory, cold.Winner, cold.LowerBound, wider.Memory)
 	}
 	if verr := (telamalloc.Solution{Offsets: warm.Offsets}).Validate(wider); verr != nil {
 		t.Errorf("replayed packing invalid at the new capacity: %v", verr)
@@ -212,6 +210,85 @@ func TestSubmitNearMissHintReplay(t *testing.T) {
 	c := s.Snapshot()
 	if c.CacheNearHits != 1 || c.HintReplays != 1 {
 		t.Errorf("counters %+v, want 1 near hit and 1 hint replay", c)
+	}
+	if c.Admitted != 1 {
+		t.Errorf("admitted %d, want 1 — a near hit that fits must not queue", c.Admitted)
+	}
+
+	// The near hit was stored under its own key: a repeat is an exact hit.
+	again, err := s.Submit(context.Background(), Request{Problem: wider})
+	if err != nil {
+		t.Fatalf("repeat submit: %v", err)
+	}
+	if !again.CacheHit || !bytes.Equal(again.CanonicalJSON(), warm.CanonicalJSON()) {
+		t.Errorf("repeat of the near hit: cacheHit=%v, bytes %s, want a hit with %s",
+			again.CacheHit, again.CanonicalJSON(), warm.CanonicalJSON())
+	}
+}
+
+// TestSubmitNearHitAcrossReordering: a near hit replays the stored packing
+// through the request's own canonical permutation, so a reordered copy of
+// the buffers is served a packing valid in its own order.
+func TestSubmitNearHitAcrossReordering(t *testing.T) {
+	s := New(Config{Workers: 1, MaxSteps: 200000})
+	defer mustDrain(t, s)
+	p := tightProblem(t)
+	if _, err := s.Submit(context.Background(), Request{Problem: p}); err != nil {
+		t.Fatalf("cold submit: %v", err)
+	}
+
+	q := Problem{Memory: p.Memory + 64, Buffers: append([]telamalloc.Buffer(nil), p.Buffers...)}
+	for i, j := 0, len(q.Buffers)-1; i < j; i, j = i+1, j-1 {
+		q.Buffers[i], q.Buffers[j] = q.Buffers[j], q.Buffers[i]
+	}
+	warm, err := s.Submit(context.Background(), Request{Problem: q})
+	if err != nil {
+		t.Fatalf("reordered near-hit submit: %v", err)
+	}
+	if !warm.HintReplayed {
+		t.Fatalf("reordered copy did not replay the stored packing: %+v", warm)
+	}
+	if verr := (telamalloc.Solution{Offsets: warm.Offsets}).Validate(q); verr != nil {
+		t.Errorf("replayed packing invalid for the reordered copy: %v", verr)
+	}
+}
+
+// TestSubmitNearHitThatDoesNotFitRunsCold: a near hit at a capacity below
+// the stored packing's peak fails validation and takes the cold path, and
+// its verdict is byte-identical to a cold solve's on a fresh server.
+func TestSubmitNearHitThatDoesNotFitRunsCold(t *testing.T) {
+	s := New(Config{Workers: 1, MaxSteps: 200000})
+	defer mustDrain(t, s)
+	p := tightProblem(t)
+	wide := p
+	wide.Memory = 2 * p.Memory
+	first, err := s.Submit(context.Background(), Request{Problem: wide})
+	if err != nil {
+		t.Fatalf("wide submit: %v", err)
+	}
+
+	lower := p
+	lower.Memory = (telamalloc.Solution{Offsets: first.Offsets}).PeakUsage(wide) - 1
+	got, err := s.Submit(context.Background(), Request{Problem: lower})
+	if err != nil {
+		t.Fatalf("lower-capacity submit: %v", err)
+	}
+	if got.HintReplayed || got.CacheHit {
+		t.Fatalf("a packing that does not fit was served: %+v", got)
+	}
+	c := s.Snapshot()
+	if c.CacheNearHits != 1 || c.HintReplays != 0 || c.Admitted != 2 {
+		t.Errorf("counters %+v, want 1 near hit, no replay and 2 admissions", c)
+	}
+
+	fresh := New(Config{Workers: 1, MaxSteps: 200000})
+	defer mustDrain(t, fresh)
+	want, err := fresh.Submit(context.Background(), Request{Problem: lower})
+	if err != nil {
+		t.Fatalf("fresh submit: %v", err)
+	}
+	if !bytes.Equal(got.CanonicalJSON(), want.CanonicalJSON()) {
+		t.Errorf("near miss changed the verdict:\n cold %s\n got  %s", want.CanonicalJSON(), got.CanonicalJSON())
 	}
 }
 
@@ -353,8 +430,8 @@ func TestBreakerProbeIgnoresCancelledStage(t *testing.T) {
 }
 
 // soakShapes builds structurally distinct solvable problems, so every
-// cold/warm byte comparison is within one fingerprint (near-miss hint
-// replay across capacities is legitimate but not byte-pinned).
+// cold/warm byte comparison is within one fingerprint (near-hit replay
+// across capacities is legitimate but not byte-pinned).
 func soakShapes(t *testing.T) []Problem {
 	t.Helper()
 	ps := []Problem{easyProblem(), tightProblem(t)}
@@ -368,7 +445,7 @@ func soakShapes(t *testing.T) []Problem {
 
 // TestCacheSoak is the reuse layer's -race acceptance soak: concurrent
 // clients replaying a fixed workload against a four-worker server. Every
-// solved response — cold, cached, deduped, hint-replayed — must be
+// solved response — cold, cached, deduped — must be
 // byte-identical to the cold reference, and the cache/dedup counters must
 // balance with the terminal-outcome ledger after drain.
 func TestCacheSoak(t *testing.T) {

@@ -63,8 +63,9 @@ type Counters struct {
 	// request's solve (singleflight followers). Each is also counted under
 	// Solved — sharing changes who did the work, not the outcome.
 	DedupShared int64
-	// HintReplays counts pipeline runs settled by replaying a decision
-	// trace instead of searching.
+	// HintReplays counts near hits served by replaying the cached packing
+	// of the same buffers under another capacity. Each is also counted
+	// under Solved.
 	HintReplays int64
 	// ExpiredInQueue counts requests whose budget ran out while queued and
 	// were short-circuited at dequeue; ExpiredEvicted counts those removed
@@ -82,7 +83,7 @@ type Counters struct {
 	BrownoutRecovers int64
 	BrownoutDegraded int64
 	// CacheHits / CacheMisses count solution-cache lookups; CacheNearHits
-	// counts shape-only matches that seeded a hint. CacheInsertions -
+	// counts shape-only matches whose packing was tried. CacheInsertions -
 	// CacheEvictions == CacheLen while the server lives. All zero when the
 	// cache is disabled.
 	CacheHits       int64

@@ -105,7 +105,7 @@ func (s *Server) bindMetrics() {
 	r.CounterFunc(metricPanics, "panics contained at a server boundary", c.containedPanics.Load)
 	r.CounterFunc(metricForceCancel, "in-flight requests force-cancelled by an expired drain", c.forceCancelled.Load)
 	r.CounterFunc(metricDedupShared, "responses shared from a concurrent identical solve", c.dedupShared.Load)
-	r.CounterFunc(metricHintReplays, "pipeline runs settled by replaying a decision trace", c.hintReplays.Load)
+	r.CounterFunc(metricHintReplays, "near hits served by replaying a cached packing", c.hintReplays.Load)
 
 	for _, e := range []struct {
 		label string

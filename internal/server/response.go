@@ -106,11 +106,6 @@ type Request struct {
 	// smaller. The budget is measured from Submit — queue wait spends it —
 	// so tail latency stays bounded under load.
 	Timeout time.Duration
-	// Hint optionally supplies a decision trace from a previous response
-	// (Response.Trace) to warm-start the solve. When nil the server fills
-	// it from its own cache on a shape near-miss. Hints are advisory: every
-	// replayed packing is re-validated before being served.
-	Hint *telamalloc.DecisionTrace
 	// TraceID labels this request's spans in the lifecycle trace stream
 	// (Config.Tracer). Empty is fine — spans are still emitted, they are
 	// just not attributable to one request.
@@ -155,17 +150,15 @@ type Response struct {
 	Elapsed time.Duration
 	// CacheHit reports the response was served from the solution cache
 	// without running the pipeline. Deduped reports it was shared from a
-	// concurrent identical request's solve. HintReplayed reports the
-	// pipeline short-circuited by replaying a decision trace. All three are
-	// load- and scheduling-dependent, hence excluded from CanonicalJSON —
-	// the offsets they annotate are byte-identical to a cold solve's.
+	// concurrent identical request's solve. HintReplayed reports a near
+	// hit: the cached packing of the same buffers under another capacity,
+	// replayed and served without running the pipeline. All three are
+	// load- and scheduling-dependent, hence excluded from CanonicalJSON.
+	// A cache hit's or a shared response's bytes are identical to a cold
+	// solve's; a near hit's offsets are the stored packing's.
 	CacheHit     bool
 	Deduped      bool
 	HintReplayed bool
-	// Trace is the replayable record of a full (non-degraded) packing; feed
-	// it back through Request.Hint to warm-start a repeat. Excluded from
-	// CanonicalJSON (it is derived data, not part of the verdict).
-	Trace *telamalloc.DecisionTrace
 	// DegradedByBrownout marks a verdict produced while the brownout
 	// controller had this request's ladder degraded — its step pot was
 	// shrunk or its search stage dropped. The packing is still valid; the
@@ -201,8 +194,7 @@ func ResponseFrom(res telamalloc.PipelineResult, perr error) *Response {
 // CanonicalJSON serialises the scheduling-invariant part of the response.
 // For a fixed request against a fresh server, these bytes are identical
 // at every parallelism level and on every serving path (cold, cached,
-// deduped, hint-replayed) — the determinism contract the soak suite
-// asserts.
+// deduped) — the determinism contract the soak suite asserts.
 func (r *Response) CanonicalJSON() []byte {
 	b, err := json.Marshal(canonicalResponse{
 		Outcome:          r.Outcome,

@@ -274,10 +274,11 @@ func New(cfg Config) *Server {
 // while draining (ErrDraining), or cancelled (ErrCancelled).
 //
 // Repeated traffic takes progressively cheaper paths: an exact-fingerprint
-// cache hit answers without queueing at all; a shape near-miss seeds a
-// decision-trace hint so the pipeline skips search; and concurrent
-// identical requests share one solve (singleflight) while each caller
-// keeps its own deadline, cancellation, and exactly-once terminal outcome.
+// cache hit answers without queueing at all, and so does a shape near hit
+// (same buffers, different capacity) whose stored packing still fits; and
+// concurrent identical requests share one solve (singleflight) while each
+// caller keeps its own deadline, cancellation, and exactly-once terminal
+// outcome.
 // Every cached or shared packing is re-validated against the submitting
 // request's own problem before it is served; validation failure falls
 // through to the cold path, so reuse can change latency but never answers.
@@ -335,7 +336,7 @@ func (s *Server) submit(ctx context.Context, req Request, t0 time.Time) (*Respon
 	if q.Validate() != nil {
 		// Fingerprints of invalid problems are meaningless; let the queue
 		// path produce the structured rejection.
-		return s.submitQueued(ctx, req, t0, cache.Fingerprint{})
+		return s.submitQueued(ctx, req, t0, cache.Fingerprint{}, nil)
 	}
 	fp, perm := cache.Canonicalize(q)
 
@@ -347,20 +348,25 @@ func (s *Server) submit(ctx context.Context, req Request, t0 time.Time) (*Respon
 			return resp, nil
 		}
 		verdict := "miss"
-		if req.Hint == nil {
-			if e, ok := s.cache.GetShape(fp.ShapeKey, fp.Key); ok {
-				// Same buffers, different capacity: the old packing may still
-				// fit. Ride it down as a hint; the pipeline validates before
-				// trusting it.
-				req.Hint = &telamalloc.DecisionTrace{Winner: e.Winner, Shape: fp.ShapeKey, Offsets: e.Offsets}
-				verdict = "near_hit"
+		if e, ok := s.cache.GetShape(fp.ShapeKey, fp.Key); ok {
+			// Same buffers, different capacity: the stored packing may still
+			// fit. Served like a hit when it validates, and stored under this
+			// request's own key so a repeat is an exact hit.
+			verdict = "near_hit"
+			if resp := reuse(e, q, perm, t0); resp != nil {
+				resp.HintReplayed = true
+				s.cache.Put(fp, e)
+				s.counters.hintReplays.Add(1)
+				s.counters.solved.Add(1)
+				s.traceEvent(req.TraceID, "cache", c0, time.Since(c0), map[string]any{"verdict": verdict})
+				return resp, nil
 			}
 		}
 		s.traceEvent(req.TraceID, "cache", c0, time.Since(c0), map[string]any{"verdict": verdict})
 	}
 
 	if s.cfg.DisableDedup {
-		return s.submitQueued(ctx, req, t0, fp)
+		return s.submitQueued(ctx, req, t0, fp, perm)
 	}
 	maxSteps := s.cfg.MaxSteps
 	if req.MaxSteps > 0 {
@@ -380,11 +386,8 @@ func (s *Server) submit(ctx context.Context, req Request, t0 time.Time) (*Respon
 	s.flights[flightKey] = f
 	s.flightMu.Unlock()
 
-	resp, err := s.submitQueued(ctx, req, t0, fp)
-	if err == nil && resp != nil && resp.Outcome == OutcomeSolved && resp.Trace != nil {
-		f.entry = cache.Entry{Winner: resp.Winner, Offsets: resp.Trace.Offsets}
-		f.shareable = true
-	}
+	resp, err := s.submitQueued(ctx, req, t0, fp, perm)
+	f.entry, f.shareable = canonicalEntry(resp, err, perm)
 	s.flightMu.Lock()
 	delete(s.flights, flightKey)
 	s.flightMu.Unlock()
@@ -396,7 +399,7 @@ func (s *Server) submit(ctx context.Context, req Request, t0 time.Time) (*Respon
 // fingerprint and validators operate on. Buffer order is preserved, so the
 // canonical permutation computed here transports response offsets too.
 func internalProblem(p Problem) *buffers.Problem {
-	q := &buffers.Problem{Memory: p.Memory, Name: p.Name}
+	q := &buffers.Problem{Memory: p.Memory, Name: p.Name, Buffers: make([]buffers.Buffer, 0, len(p.Buffers))}
 	for _, b := range p.Buffers {
 		q.Buffers = append(q.Buffers, buffers.Buffer{
 			Start: b.Start, End: b.End, Size: b.Size, Align: b.Align,
@@ -428,7 +431,7 @@ func (s *Server) cacheLookup(q *buffers.Problem, fp cache.Fingerprint, perm []in
 	if !ok {
 		return nil
 	}
-	resp := reuse(e, q, fp, perm, t0)
+	resp := reuse(e, q, perm, t0)
 	if resp == nil {
 		s.cache.Drop(fp.Key)
 		return nil
@@ -437,11 +440,14 @@ func (s *Server) cacheLookup(q *buffers.Problem, fp cache.Fingerprint, perm []in
 	return resp
 }
 
-// reuse answers from a packing solved for a fingerprint-equal problem —
-// a cache entry or a leader's shared verdict: replay it through the
-// canonical permutation and re-validate it against this request's own
-// problem. It returns nil when the packing does not transport.
-func reuse(e cache.Entry, q *buffers.Problem, fp cache.Fingerprint, perm []int, t0 time.Time) *Response {
+// reuse answers from a packing solved for a problem with the same shape —
+// a cache entry, a near hit's entry or a leader's shared verdict: replay it
+// through the canonical permutation and re-validate it against this
+// request's own problem. It returns nil when the packing does not
+// transport. The entry's lower bound holds as it is: problems of one shape
+// share their shift-normalised live ranges and sizes, hence their
+// contention peak.
+func reuse(e cache.Entry, q *buffers.Problem, perm []int, t0 time.Time) *Response {
 	offsets := cache.Replay(e.Offsets, perm)
 	if offsets == nil || (&buffers.Solution{Offsets: offsets}).Validate(q) != nil {
 		return nil
@@ -450,10 +456,9 @@ func reuse(e cache.Entry, q *buffers.Problem, fp cache.Fingerprint, perm []int, 
 		Outcome:    OutcomeSolved,
 		Winner:     e.Winner,
 		Offsets:    offsets,
-		LowerBound: buffers.Contention(q).Peak(),
+		LowerBound: e.LowerBound,
 		Memory:     q.Memory,
 		Elapsed:    time.Since(t0),
-		Trace:      &telamalloc.DecisionTrace{Winner: e.Winner, Shape: fp.ShapeKey, Offsets: e.Offsets},
 	}
 }
 
@@ -474,7 +479,7 @@ func (s *Server) awaitFlight(ctx context.Context, f *flight, req Request, q *buf
 	select {
 	case <-f.done:
 		if f.shareable {
-			if resp := reuse(f.entry, q, fp, perm, t0); resp != nil {
+			if resp := reuse(f.entry, q, perm, t0); resp != nil {
 				resp.Deduped = true
 				s.counters.dedupShared.Add(1)
 				s.counters.solved.Add(1)
@@ -483,7 +488,7 @@ func (s *Server) awaitFlight(ctx context.Context, f *flight, req Request, q *buf
 			}
 		}
 		s.traceEvent(req.TraceID, "dedup", w0, time.Since(w0), map[string]any{"verdict": "cold"})
-		return s.submitQueued(ctx, req, t0, fp)
+		return s.submitQueued(ctx, req, t0, fp, perm)
 	case <-ctx.Done():
 		s.counters.cancelled.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrCancelled, context.Cause(ctx))
@@ -491,15 +496,16 @@ func (s *Server) awaitFlight(ctx context.Context, f *flight, req Request, q *buf
 		// The shared solve outlived this caller's own pot. The queue path
 		// turns the spent budget into its usual fast-fail verdict (and
 		// still sheds or rejects if the server state demands it).
-		return s.submitQueued(ctx, req, t0, fp)
+		return s.submitQueued(ctx, req, t0, fp, perm)
 	}
 }
 
 // submitQueued is the cold path: enqueue the request, wait for the worker's
 // verdict or the caller's cancellation, and feed full packings back into
 // the solution cache. t0 is the Submit entry time, so queue-wait accounting
-// and the request budget span reuse-layer time too.
-func (s *Server) submitQueued(ctx context.Context, req Request, t0 time.Time, fp cache.Fingerprint) (*Response, error) {
+// and the request budget span reuse-layer time too. perm is fp's canonical
+// permutation (nil with a zero fp, which is never cached).
+func (s *Server) submitQueued(ctx context.Context, req Request, t0 time.Time, fp cache.Fingerprint, perm []int) (*Response, error) {
 	class, _ := req.Priority.class() // validated at the top of submit
 	jctx, cancel := context.WithCancel(ctx)
 	j := &job{
@@ -582,7 +588,7 @@ func (s *Server) submitQueued(ctx context.Context, req Request, t0 time.Time, fp
 
 	select {
 	case <-j.done:
-		s.cachePut(j.resp, j.err, fp)
+		s.cachePut(j.resp, j.err, fp, perm)
 		return j.resp, j.err
 	case <-ctx.Done():
 		if j.settle() {
@@ -592,20 +598,30 @@ func (s *Server) submitQueued(ctx context.Context, req Request, t0 time.Time, fp
 		}
 		// The worker delivered first; its verdict stands.
 		<-j.done
-		s.cachePut(j.resp, j.err, fp)
+		s.cachePut(j.resp, j.err, fp, perm)
 		return j.resp, j.err
 	}
 }
 
-// cachePut feeds a solved full packing back into the cache. The pipeline
-// already exports every full packing in canonical order as resp.Trace.
-// Degraded packings are not cacheable (spilled offsets aren't
-// transportable) and failures carry no packing.
-func (s *Server) cachePut(resp *Response, err error, fp cache.Fingerprint) {
-	if s.cache == nil || err != nil || resp == nil || resp.Outcome != OutcomeSolved || resp.Trace == nil || fp.Key == "" {
+// cachePut feeds a solved full packing back into the cache.
+func (s *Server) cachePut(resp *Response, err error, fp cache.Fingerprint, perm []int) {
+	if s.cache == nil || fp.Key == "" {
 		return
 	}
-	s.cache.Put(fp, cache.Entry{Winner: resp.Winner, Offsets: resp.Trace.Offsets})
+	if e, ok := canonicalEntry(resp, err, perm); ok {
+		s.cache.Put(fp, e)
+	}
+}
+
+// canonicalEntry records a full solved packing in canonical buffer order,
+// the form the cache and flight followers replay. ok is false for every
+// other verdict: degraded packings are not transportable (spilled offsets
+// are -1) and failures carry no packing.
+func canonicalEntry(resp *Response, err error, perm []int) (cache.Entry, bool) {
+	if err != nil || resp == nil || resp.Outcome != OutcomeSolved {
+		return cache.Entry{}, false
+	}
+	return cache.Entry{Winner: resp.Winner, Offsets: cache.ToCanonical(resp.Offsets, perm), LowerBound: resp.LowerBound}, true
 }
 
 // rejectDraining is the common admission-refused-by-drain exit: undo the
@@ -799,9 +815,6 @@ func (s *Server) serveJob(j *job) {
 	j.resp, j.err = resp, err
 	delivered := j.settle()
 	if delivered {
-		if resp != nil && resp.HintReplayed {
-			s.counters.hintReplays.Add(1)
-		}
 		if resp != nil && resp.DegradedByBrownout {
 			s.counters.brownoutMarked.Add(1)
 		}
@@ -928,9 +941,6 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 	if timeout > 0 {
 		opts = append(opts, telamalloc.WithTimeout(timeout))
 	}
-	if j.req.Hint != nil {
-		opts = append(opts, telamalloc.WithHints(j.req.Hint))
-	}
 
 	res, perr := s.alloc.Pipeline(j.ctx, j.req.Problem, opts...)
 	s.observeBreakers(decisions, res)
@@ -962,8 +972,6 @@ func responseFrom(res telamalloc.PipelineResult, perr error, skipped []string) *
 	}
 	r.Winner = res.Winner
 	r.Offsets = res.Solution.Offsets
-	r.Trace = res.Trace
-	r.HintReplayed = res.HintReplayed
 	if res.Degraded {
 		r.Outcome = OutcomeDegraded
 		r.Spilled = res.Spill.Spilled

@@ -101,6 +101,11 @@ func TestSubmitDegradesInfeasible(t *testing.T) {
 	if resp.LowerBound != 8 || resp.Memory != 4 {
 		t.Errorf("evidence lb=%d mem=%d, want 8 > 4", resp.LowerBound, resp.Memory)
 	}
+	// A spill packing is not a solution to the original problem, so it is
+	// never cached for a repeat or a near hit to replay.
+	if c := s.Snapshot(); c.CacheLen != 0 {
+		t.Errorf("cache holds %d entries after a degraded verdict, want 0", c.CacheLen)
+	}
 }
 
 func TestSubmitFailsInvalidProblem(t *testing.T) {

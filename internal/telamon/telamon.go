@@ -157,9 +157,6 @@ type State struct {
 	Stats Stats
 }
 
-// Depth returns the current stack depth.
-func (st *State) Depth() int { return len(st.Stack) }
-
 // Policy supplies the domain knowledge for the search.
 type Policy interface {
 	// Candidates appends the next batch of a decision point's candidates

@@ -11,7 +11,6 @@ import (
 // outcomes additionally carry {outcome="won"|"failed"|"skipped"}.
 const (
 	metricPipelineRuns    = "telamalloc_pipeline_runs_total"
-	metricPipelineReplays = "telamalloc_pipeline_hint_replays_total"
 	metricPipelineSpilled = "telamalloc_pipeline_spilled_buffers_total"
 	metricStageSeconds    = "telamalloc_stage_seconds"
 	metricStageSteps      = "telamalloc_stage_steps_total"
@@ -34,7 +33,6 @@ type stageMetrics struct {
 // cost is a few atomic adds per stage.
 type pipelineMetrics struct {
 	runs    *obs.Counter
-	replays *obs.Counter
 	spilled *obs.Counter
 	stages  map[string]*stageMetrics
 }
@@ -52,7 +50,6 @@ func pipelineMetricsFor(r *obs.Registry) *pipelineMetrics {
 	}
 	m := &pipelineMetrics{
 		runs:    r.Counter(metricPipelineRuns, "AllocatePipeline invocations"),
-		replays: r.Counter(metricPipelineReplays, "pipeline runs settled by replaying a WithHints trace"),
 		spilled: r.Counter(metricPipelineSpilled, "buffers evicted by winning spill stages"),
 		stages:  make(map[string]*stageMetrics, len(defaultLadder)),
 	}

@@ -17,10 +17,8 @@ import (
 type Option func(*config)
 
 type config struct {
-	core          core.Config
-	model         *BacktrackModel
-	gate          *StepGateModel
-	gateThreshold float64
+	core  core.Config
+	model *BacktrackModel
 	// timeout is the wall-clock budget. It is stored as a duration and
 	// resolved into core.Deadline when the call *starts* (callConfig), so a
 	// config built ahead of time — or reused across calls — gets the full
@@ -28,7 +26,6 @@ type config struct {
 	// option was applied.
 	timeout time.Duration
 	pipe    pipelineConfig
-	hint    *DecisionTrace
 	obsReg  *obs.Registry
 }
 
@@ -90,9 +87,6 @@ func (c *config) validate() error {
 	if c.pipe.maxSpills < 0 {
 		return fmt.Errorf("%w: negative spill cap %d", ErrInvalidProblem, c.pipe.maxSpills)
 	}
-	if c.gate != nil && c.gateThreshold > 1 {
-		return fmt.Errorf("%w: step-gate threshold %g is not a probability", ErrInvalidProblem, c.gateThreshold)
-	}
 	return nil
 }
 
@@ -136,30 +130,6 @@ func WithFaultHook(hook func(point string) bool) Option {
 	return func(c *config) { c.core.Hook = hook }
 }
 
-// WithHints feeds a decision trace from a previous win (PipelineResult.
-// Trace) back as a first-try packing. When the trace's shape fingerprint
-// matches the problem and the replayed packing validates, the solve returns
-// it immediately — a warm start that skips search entirely. An unusable
-// trace is silently ignored; correctness never depends on the hint because
-// every replayed packing is re-validated against the actual problem first.
-// A nil trace is a no-op, so callers can pass a maybe-absent cache result
-// unconditionally.
-func WithHints(t *DecisionTrace) Option {
-	return func(c *config) { c.hint = t }
-}
-
-// WithSkylinePlacement selects the simple skyline placement strategy
-// (Figure 8a) instead of solver-guided placement. Mainly useful for
-// experiments; solver-guided placement is strictly more capable.
-func WithSkylinePlacement() Option {
-	return func(c *config) { c.core.Placement = core.SkylineTop }
-}
-
-// WithoutPhases disables contention-based grouping (§5.3).
-func WithoutPhases() Option {
-	return func(c *config) { c.core.DisablePhases = true }
-}
-
 // WithoutSubproblemSplit disables independent-subproblem splitting.
 func WithoutSubproblemSplit() Option {
 	return func(c *config) { c.core.DisableSplit = true }
@@ -186,69 +156,13 @@ func WithBacktrackModel(m *BacktrackModel) Option {
 	}
 }
 
-// StepGateModel is a trained step-level gate (§8.3 of the paper): a shallow
-// tree evaluated at every decision point that decides between the cheap
-// (three heuristic picks) and the expensive (full fallback) candidate path.
-type StepGateModel struct {
-	forest *gbt.Forest
-}
-
-// TrainStepGate collects per-decision-point risk labels from solving the
-// given problems in strict candidate mode and trains the shallow gate tree.
-// searchSteps bounds each collection search.
-func TrainStepGate(problems []Problem, seed, searchSteps int64) (*StepGateModel, error) {
-	var ds gbt.Dataset
-	for _, p := range problems {
-		part := mlpolicy.GateTrainingRun(toInternal(p), searchSteps)
-		ds.X = append(ds.X, part.X...)
-		ds.Y = append(ds.Y, part.Y...)
-	}
-	forest, err := mlpolicy.TrainGate(ds, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &StepGateModel{forest: forest}, nil
-}
-
-// Save serialises the gate as JSON.
-func (m *StepGateModel) Save(w io.Writer) error { return m.forest.Save(w) }
-
-// LoadStepGate reads a gate saved with Save.
-func LoadStepGate(r io.Reader) (*StepGateModel, error) {
-	f, err := gbt.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return &StepGateModel{forest: f}, nil
-}
-
-// WithStepGate lets the trained gate decide, per decision point, whether to
-// build the expensive candidate set. threshold <= 0 selects the default
-// (0.5).
-func WithStepGate(m *StepGateModel, threshold float64) Option {
-	return func(c *config) {
-		c.gate = m
-		c.gateThreshold = threshold
-	}
-}
-
-// finalize binds the problem-dependent pieces (the learned chooser and the
-// step gate) once the internal problem exists; the call's deadline and
-// context are already in c.core.
+// finalize binds the problem-dependent learned chooser once the internal
+// problem exists; the call's deadline and context are already in c.core.
 func (c *config) finalize(q *buffers.Problem) core.Config {
 	cfg := c.core
 	cfg.Obs = c.obsReg
 	if c.model != nil {
 		cfg.Chooser = mlpolicy.NewChooser(c.model.forest, q)
-	}
-	if c.gate != nil {
-		threshold := c.gateThreshold
-		if threshold <= 0 {
-			// The documented default: WithStepGate promises that a
-			// non-positive threshold means 0.5, not "expensive path always".
-			threshold = 0.5
-		}
-		cfg.Gate = mlpolicy.NewStepGate(c.gate.forest, q, threshold)
 	}
 	return cfg
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"telamalloc/internal/buffers"
-	"telamalloc/internal/cache"
 	"telamalloc/internal/core"
 	"telamalloc/internal/faultinject"
 	"telamalloc/internal/heuristics"
@@ -138,25 +137,6 @@ type SpillPlan struct {
 	Searched int
 }
 
-// DecisionTrace is the replayable record of a pipeline win: which stage
-// produced the packing and the packing itself in canonical buffer order,
-// keyed by the problem's shape fingerprint. Feeding a trace back through
-// WithHints lets a later solve of a fingerprint-equal problem — or the same
-// buffers under a larger capacity — skip the ladder entirely. Traces are
-// advisory: replay validates against the new problem and falls through to
-// the cold ladder when the trace does not fit.
-type DecisionTrace struct {
-	// Winner is the stage whose packing the trace records.
-	Winner string
-	// Shape is the canonical shape fingerprint (internal/cache.ShapeKey) of
-	// the problem the trace solved. Replay refuses traces whose shape does
-	// not match the new problem, before even attempting validation.
-	Shape string
-	// Offsets is the packing in canonical buffer order, transportable onto
-	// any problem with the same Shape via the canonical permutation.
-	Offsets []int64
-}
-
 // PipelineResult is the structured outcome of AllocatePipeline.
 type PipelineResult struct {
 	// Solution holds the packing when Err is nil. When Degraded, spilled
@@ -185,14 +165,6 @@ type PipelineResult struct {
 	// exists. It is 0 when not computed and when no buffer has an
 	// alignment above one.
 	SlotBound int64
-	// Trace is the replayable record of the win, exported for full
-	// (non-degraded) packings so callers can warm-start repeated problems
-	// via WithHints. Nil on failure and for degraded results — a packing
-	// with evicted buffers is not transportable.
-	Trace *DecisionTrace
-	// HintReplayed reports that the solution came from replaying a
-	// WithHints trace rather than running the ladder.
-	HintReplayed bool
 }
 
 // AllocatePipeline packs the problem through the escalation ladder. A nil
@@ -243,31 +215,6 @@ func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, err
 		proof = fmt.Sprintf("provably infeasible: lower bound %d > memory %d", out.LowerBound, p.Memory)
 	}
 
-	fp, perm := cache.Canonicalize(q)
-
-	// Hint replay: a trace from a previous fingerprint-equal win, replayed
-	// through the canonical permutation and re-validated, settles the whole
-	// ladder for the cost of one validation sweep. An unusable hint (wrong
-	// shape, stale offsets, panic during replay) is silently discarded and
-	// the cold ladder below runs exactly as if no hint existed.
-	if proof == "" && c.hint != nil {
-		if sol := replayTrace(c.hint, q, fp, perm); sol != nil {
-			pm.replays.Inc()
-			out.Winner = c.hint.Winner
-			out.Solution = Solution{Offsets: sol.Offsets}
-			out.HintReplayed = true
-			out.Trace = &DecisionTrace{
-				Winner:  c.hint.Winner,
-				Shape:   fp.ShapeKey,
-				Offsets: cache.ToCanonical(sol.Offsets, perm),
-			}
-			for _, s := range ladder {
-				out.Stages = append(out.Stages, StageReport{Stage: s, Skipped: true, SkipReason: "hint replay succeeded"})
-			}
-			return out, nil
-		}
-	}
-
 	run := newLadderRun(c, pm, q, ladder)
 	slotChecked := false
 	for i, stage := range ladder {
@@ -301,13 +248,6 @@ func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, err
 				out.Degraded = len(plan.Spilled) > 0
 				pm.spilled.Add(int64(len(plan.Spilled)))
 			}
-			if !out.Degraded {
-				out.Trace = &DecisionTrace{
-					Winner:  stage,
-					Shape:   fp.ShapeKey,
-					Offsets: cache.ToCanonical(sol.Offsets, perm),
-				}
-			}
 			return out, nil
 		}
 		if errors.Is(rep.Err, ErrCancelled) {
@@ -318,31 +258,6 @@ func pipelineWith(c config, pm *pipelineMetrics, p Problem) (PipelineResult, err
 	}
 	out.Stages = run.reports
 	return out, run.failure(out)
-}
-
-// replayTrace transports a decision trace onto q and returns the packing
-// when it is provably valid, nil otherwise. The shape check rejects traces
-// from structurally different problems before validation; the containment
-// boundary turns any replay panic into a cold-path fallthrough, matching
-// the pipeline's never-crash contract.
-func replayTrace(t *DecisionTrace, q *buffers.Problem, fp cache.Fingerprint, perm []int) (sol *buffers.Solution) {
-	defer func() {
-		if recover() != nil {
-			sol = nil
-		}
-	}()
-	if t == nil || t.Shape != fp.ShapeKey {
-		return nil
-	}
-	offsets := cache.Replay(t.Offsets, perm)
-	if offsets == nil {
-		return nil
-	}
-	candidate := &buffers.Solution{Offsets: offsets}
-	if candidate.Validate(q) != nil {
-		return nil
-	}
-	return candidate
 }
 
 // validateLadder rejects unknown or duplicated stage names.

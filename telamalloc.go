@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"telamalloc/internal/buffers"
-	"telamalloc/internal/cache"
 	"telamalloc/internal/core"
 	"telamalloc/internal/heuristics"
 	"telamalloc/internal/ilp"
@@ -133,14 +132,6 @@ func allocateWith(cfg config, p Problem) (Solution, Stats, error) {
 	q, err := validated(p)
 	if err != nil {
 		return Solution{}, Stats{}, err
-	}
-	if cfg.hint != nil {
-		// A valid replayed packing settles the call for the cost of one
-		// validation sweep; an unusable hint falls through to the search.
-		fp, perm := cache.Canonicalize(q)
-		if sol := replayTrace(cfg.hint, q, fp, perm); sol != nil {
-			return Solution{Offsets: sol.Offsets}, Stats{}, nil
-		}
 	}
 	res := core.Solve(q, cfg.finalize(q))
 	st := statsFrom(res)

@@ -148,12 +148,9 @@ func TestOptionsCombinations(t *testing.T) {
 	p := figure1()
 	p.Memory = 12 // slightly loose so every variant can solve
 	for name, opts := range map[string][]telamalloc.Option{
-		"skyline":  {telamalloc.WithSkylinePlacement()},
-		"nophases": {telamalloc.WithoutPhases()},
-		"nosplit":  {telamalloc.WithoutSubproblemSplit()},
-		"timeout":  {telamalloc.WithTimeout(10 * time.Second)},
+		"nosplit": {telamalloc.WithoutSubproblemSplit()},
+		"timeout": {telamalloc.WithTimeout(10 * time.Second)},
 		"all": {
-			telamalloc.WithoutPhases(),
 			telamalloc.WithoutSubproblemSplit(),
 			telamalloc.WithMaxSteps(100000),
 		},
@@ -233,42 +230,5 @@ func TestAllocatePropertyValidOrError(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStepGateRoundTrip(t *testing.T) {
-	var train []telamalloc.Problem
-	rng := rand.New(rand.NewSource(6))
-	for k := 0; k < 8; k++ {
-		p := telamalloc.Problem{}
-		for i := 0; i < 24; i++ {
-			start := rng.Int63n(16)
-			p.Buffers = append(p.Buffers, telamalloc.Buffer{
-				Start: start, End: start + 1 + rng.Int63n(10), Size: 1 + rng.Int63n(8),
-			})
-		}
-		p.Memory = telamalloc.MinMemoryLowerBound(p) * 101 / 100
-		train = append(train, p)
-	}
-	gate, err := telamalloc.TrainStepGate(train, 1, 40000)
-	if err != nil {
-		t.Skipf("gate training found no samples: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := gate.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := telamalloc.LoadStepGate(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := train[0]
-	sol, _, err := telamalloc.Allocate(p,
-		telamalloc.WithStepGate(loaded, 0),
-		telamalloc.WithMaxSteps(100000))
-	if err == nil {
-		if verr := sol.Validate(p); verr != nil {
-			t.Fatalf("gated solution invalid: %v", verr)
-		}
 	}
 }
